@@ -31,7 +31,16 @@ class BadIngredient(HoleyMagicError):
 
 class SearchBudgetExceeded(HoleyMagicError):
     """Backtracking gave up before exhausting the space.  Inconclusive,
-    never evidence of nonexistence."""
+    never evidence of nonexistence.  Carries the ingredient it gave up on,
+    e.g. "MR(4,6)" or "MS(8;4) profile 1:0:7", and the nodes spent."""
+
+    def __init__(self, ingredient: str, nodes: int):
+        super().__init__(ingredient, nodes)  # args rebuild it when unpickled
+        self.ingredient = ingredient
+        self.nodes = nodes
+
+    def __str__(self):
+        return f"{self.ingredient}: node budget exhausted after {self.nodes} nodes"
 
 
 class CacheError(HoleyMagicError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -113,10 +114,14 @@ def profile_satisfied(grid: HoleyGrid, profile: DiagonalProfile) -> bool:
 # search kernel
 
 class _Budget:
-    __slots__ = ("left",)
+    """Node allowance shared by every search made for one ingredient;
+    `label` names that ingredient in the exhaustion error."""
 
-    def __init__(self, nodes: int):
-        self.left = int(nodes)
+    __slots__ = ("total", "left", "label")
+
+    def __init__(self, nodes: int, label: str):
+        self.total = self.left = int(nodes)
+        self.label = label
 
 
 def _staircase_key(cell):
@@ -126,138 +131,93 @@ def _staircase_key(cell):
     return (min(i, j), 0 if i <= j else 1, max(i, j))
 
 
-def _search_assignment(ncells, cell_lines, cell_domain, lines, domains, budget,
-                       precedes=()):
+def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
     """First exact assignment of distinct values to cells, or None.
 
-    lines: list of (target, cell indices in fill order); domains: list of
-    ascending value tuples with exact counts (each domain holds as many
-    values as cells).  precedes: (earlier, later) cell pairs whose values
-    must increase, the earlier cell coming first in fill order; used to
-    break row/column permutation symmetry.  Charges one budget unit per
-    attempted placement and raises SearchBudgetExceeded when the budget
-    runs dry.
+    Cells are filled in index order.  cell_domain: domain index of each
+    cell; lines: list of (target, cell indices in fill order); domains:
+    list of ascending value tuples with exact counts (each domain holds as
+    many values as cells).  precedes: (earlier, later) cell pairs whose
+    values must increase, the earlier cell coming first in fill order; used
+    to break row/column permutation symmetry.
+
+    Each domain keeps its unused values as one ascending free list: a
+    placement pops the value at its position and backtracking re-inserts
+    it there, so a line's bounds are sums of the k smallest and k largest
+    free values (plain slices), and a cell's candidates are the free values
+    from just above its precedence floor up to the smallest remaining line
+    target.  The search is an explicit-stack loop, so its depth is not
+    limited by the interpreter's recursion limit.  Charges one budget unit
+    per attempted placement and raises SearchBudgetExceeded on the attempt
+    after the budget runs dry.
     """
-    target = [t for t, _ in lines]
-    size = [len(seq) for _, seq in lines]
-    partial = [0] * len(lines)
-    filled = [0] * len(lines)
-    # (domain, multiplicity) of the unfilled cells of a line, by progress
-    rest_doms = []
-    for _, seq in lines:
-        per_fill = []
-        for k in range(len(seq) + 1):
-            counts: Dict[int, int] = {}
-            for c in seq[k:]:
-                d = cell_domain[c]
-                counts[d] = counts.get(d, 0) + 1
-            per_fill.append(tuple(counts.items()))
-        rest_doms.append(per_fill)
+    ncells = len(cell_domain)
+    gap = [t for t, _ in lines]  # a line's target minus its placed values
+    # per cell: (line, (domain, count) pairs of that line's later cells)
+    checks: List[List[tuple]] = [[] for _ in range(ncells)]
+    for L, (_, seq) in enumerate(lines):
+        counts: Dict[int, int] = {}
+        for c in reversed(seq):
+            checks[c].append((L, tuple(counts.items())))
+            counts[cell_domain[c]] = counts.get(cell_domain[c], 0) + 1
+    prec_of: List[List[int]] = [[] for _ in range(ncells)]
+    for earlier, later in precedes:
+        prec_of[later].append(earlier)
 
-    dom_vals = [tuple(d) for d in domains]
-    dom_used = [bytearray(len(d)) for d in domains]
-    dom_lo = [0] * len(domains)
-    dom_hi = [len(d) - 1 for d in domains]
-
-    def min_sum(d, k):
-        # sum of the k smallest unused values; exact counts guarantee that
-        # k unused values exist whenever a line still has k cells in d
-        vals, used = dom_vals[d], dom_used[d]
-        i = dom_lo[d]
-        while used[i]:
-            i += 1
-        dom_lo[d] = i
-        t = 0
-        while k:
-            if not used[i]:
-                t += vals[i]
-                k -= 1
-            i += 1
-        return t
-
-    def max_sum(d, k):
-        vals, used = dom_vals[d], dom_used[d]
-        i = dom_hi[d]
-        while used[i]:
-            i -= 1
-        dom_hi[d] = i
-        t = 0
-        while k:
-            if not used[i]:
-                t += vals[i]
-                k -= 1
-            i -= 1
-        return t
-
-    prec_of = [() for _ in range(ncells)]
-    if precedes:
-        buckets: Dict[int, List[int]] = {}
-        for earlier, later in precedes:
-            buckets.setdefault(later, []).append(earlier)
-        for later, earlier_list in buckets.items():
-            prec_of[later] = tuple(earlier_list)
-
-    assignment = [None] * ncells
-
-    def place(idx):
-        if idx == ncells:
-            return True
-        d = cell_domain[idx]
-        vals, used = dom_vals[d], dom_used[d]
-        my_lines = cell_lines[idx]
-        cap = min(target[L] - partial[L] for L in my_lines)
-        floor = -1
-        for p in prec_of[idx]:
-            if assignment[p] > floor:
-                floor = assignment[p]
-        for vi in range(len(vals)):
-            if used[vi]:
-                continue
-            v = vals[vi]
-            if v > cap:
-                break
-            if v <= floor:
-                continue
-            budget.left -= 1
-            if budget.left < 0:
-                raise SearchBudgetExceeded("node budget exhausted")
-            used[vi] = 1
-            ok = True
-            for L in my_lines:
-                partial[L] += v
-                filled[L] += 1
-            for L in my_lines:
-                need = target[L] - partial[L]
-                rem = size[L] - filled[L]
-                if rem == 0:
-                    if need != 0:
-                        ok = False
+    free = [list(d) for d in domains]
+    assignment = [0] * ncells
+    pos_of = [0] * ncells  # free-list position each placed value came from
+    left = budget.left
+    idx, pos = 0, None  # pos None: cell idx is entered afresh, not resumed
+    while idx < ncells:
+        f = free[cell_domain[idx]]
+        mine = checks[idx]
+        cap = min(gap[L] for L, _ in mine)
+        if pos is None:
+            pos = bisect_right(f, max((assignment[p] for p in prec_of[idx]), default=-1))
+        for pos in range(pos, bisect_right(f, cap)):
+            left -= 1
+            if left < 0:
+                budget.left = left
+                raise SearchBudgetExceeded(budget.label, budget.total - left)
+            v = f.pop(pos)
+            for L, rest in mine:
+                need = gap[L] - v
+                if not rest:
+                    if need:
                         break
-                else:
-                    lo = hi = 0
-                    for rd, cnt in rest_doms[L][filled[L]]:
-                        lo += min_sum(rd, cnt)
-                        hi += max_sum(rd, cnt)
-                    if not lo <= need <= hi:
-                        ok = False
-                        break
-            if ok:
-                assignment[idx] = v
-                if place(idx + 1):
-                    return True
-            for L in my_lines:
-                partial[L] -= v
-                filled[L] -= 1
-            used[vi] = 0
-            if vi < dom_lo[d]:
-                dom_lo[d] = vi
-            if vi > dom_hi[d]:
-                dom_hi[d] = vi
-        return False
-
-    if place(0):
-        return list(assignment)
-    return None
+                    continue
+                lo = hi = 0
+                for d, k in rest:
+                    lo += free[d][0] if k == 1 else sum(free[d][:k])
+                if need < lo:
+                    break
+                for d, k in rest:
+                    hi += free[d][-1] if k == 1 else sum(free[d][-k:])
+                if need > hi:
+                    break
+            else:
+                break  # every line of the cell can still reach its target
+            f.insert(pos, v)
+        else:
+            # candidates exhausted: take back the previous cell's value and
+            # resume that cell after it
+            if idx == 0:
+                budget.left = left
+                return None
+            idx -= 1
+            v, pos = assignment[idx], pos_of[idx]
+            for L, _ in checks[idx]:
+                gap[L] += v
+            free[cell_domain[idx]].insert(pos, v)
+            pos += 1
+            continue
+        for L, _ in mine:
+            gap[L] -= v
+        assignment[idx], pos_of[idx] = v, pos
+        idx, pos = idx + 1, None
+    budget.left = left
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +249,10 @@ def _ms_anchored(m, s, runs, budget):
         ((i, j) for i in range(m) for j in range(m) if (j - i) % m in on_support),
         key=_staircase_key,
     )
-    index_of = {cell: idx for idx, cell in enumerate(cells)}
+    lines = [(target, []) for _ in range(2 * m)]  # rows, then columns
+    for idx, (i, j) in enumerate(cells):
+        lines[i][1].append(idx)
+        lines[m + j][1].append(idx)
     if q_total == 0:
         anchors = range(1)  # no runs to place, every anchor is the same
     elif s == m:
@@ -317,16 +280,7 @@ def _ms_anchored(m, s, runs, budget):
                     dom_of_diag[d] = len(domains) - 1
 
         cell_domain = [dom_of_diag[(j - i) % m] for i, j in cells]
-        lines = []
-        for i in range(m):
-            seq = [index_of[c] for c in cells if c[0] == i]
-            lines.append((target, seq))
-        for j in range(m):
-            seq = [index_of[c] for c in cells if c[1] == j]
-            lines.append((target, seq))
-        cell_lines = [(i, m + j) for i, j in cells]
-
-        got = _search_assignment(len(cells), cell_lines, cell_domain, lines, domains, budget)
+        got = _search_assignment(cell_domain, lines, domains, budget)
         if got is not None:
             grid = [[None] * m for _ in range(m)]
             for (i, j), v in zip(cells, got):
@@ -367,7 +321,8 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         if hit is not None:
             return hit[0]
 
-    b = _Budget(budget)
+    label = f"MS({m};{s})" + (f" profile {profile.tag()}" if profile is not None else "")
+    b = _Budget(budget, label)
     if profile is not None:
         grid = _ms_anchored(m, s, profile.required_runs, b)
         if grid is None:
@@ -395,8 +350,8 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
 # classical full magic rectangles
 
 def _rect_problem(rows, cols, grids=1):
-    """Cells, lines, line membership and symmetry-breaking precedence
-    pairs for `grids` full rows x cols rectangles sharing one value pool.
+    """Cells, lines and symmetry-breaking precedence pairs for `grids`
+    full rows x cols rectangles sharing one value pool.
 
     Near-square grids fill in staircase order (rows and columns bind
     alternately); wide ones complete the short columns one at a time --
@@ -419,19 +374,11 @@ def _rect_problem(rows, cols, grids=1):
     col2 = rows * (total - 1)
     assert row2 % 2 == 0 and col2 % 2 == 0  # callers screen parity first
     lines = []
-    cell_lines = [[] for _ in cells]
     for g in range(grids):
         for i in range(rows):
-            seq = [index_of[(g, i, j)] for j in range(cols)]
-            for c in seq:
-                cell_lines[c].append(len(lines))
-            lines.append((row2 // 2, seq))
+            lines.append((row2 // 2, [index_of[(g, i, j)] for j in range(cols)]))
         for j in range(cols):
-            seq = [index_of[(g, i, j)] for i in range(rows)]
-            for c in seq:
-                cell_lines[c].append(len(lines))
-            lines.append((col2 // 2, seq))
-    cell_lines = [tuple(x) for x in cell_lines]
+            lines.append((col2 // 2, [index_of[(g, i, j)] for i in range(rows)]))
     precedes = []
     for g in range(grids):
         corner = index_of[(g, 0, 0)]
@@ -444,7 +391,7 @@ def _rect_problem(rows, cols, grids=1):
             precedes.append((index_of[(g, i, 0)], index_of[(g, i + 1, 0)]))
         if g:
             precedes.append((index_of[(g - 1, 0, 0)], corner))
-    return cells, cell_lines, lines, precedes
+    return cells, lines, precedes
 
 
 def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
@@ -469,11 +416,9 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
 
     # search the short orientation; transpose back afterwards if needed
     rows, cols = min(a, b), max(a, b)
-    cells, cell_lines, lines, precedes = _rect_problem(rows, cols)
-    domains = [tuple(range(rows * cols))]
-    cell_domain = [0] * len(cells)
-    got = _search_assignment(len(cells), cell_lines, cell_domain, lines, domains,
-                             _Budget(budget), precedes)
+    cells, lines, precedes = _rect_problem(rows, cols)
+    got = _search_assignment([0] * len(cells), lines, [tuple(range(rows * cols))],
+                             _Budget(budget, f"MR({a},{b})"), precedes)
     if got is None:
         raise NotConstructible(f"search exhausted without finding MR({a},{b})")
     grid = [[None] * cols for _ in range(rows)]
@@ -516,11 +461,9 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
             return hit
 
     total = a * b * c
-    cells, cell_lines, lines, precedes = _rect_problem(a, b, grids=c)
-    domains = [tuple(range(total))]
-    cell_domain = [0] * len(cells)
-    got = _search_assignment(len(cells), cell_lines, cell_domain, lines, domains,
-                             _Budget(budget), precedes)
+    cells, lines, precedes = _rect_problem(a, b, grids=c)
+    got = _search_assignment([0] * len(cells), lines, [tuple(range(total))],
+                             _Budget(budget, f"MRS({a},{b};{c})"), precedes)
     if got is None:
         raise NotConstructible(f"search exhausted without finding MRS({a},{b};{c})")
     grids = []
@@ -665,7 +608,7 @@ class IngredientCache:
                 if pos >= len(lines):
                     raise CorruptCache(f"{self.path}: truncated entry for {key!r}")
                 header = lines[pos].split()
-                if len(header) != 2 or not all(t.isdigit() for t in header):
+                if len(header) != 2 or not all(t.isascii() and t.isdigit() for t in header):
                     raise CorruptCache(f"{self.path}: bad block header at line {pos + 1}")
                 nrows = int(header[0])
                 block = lines[pos:pos + nrows + 1]

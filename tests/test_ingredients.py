@@ -1,3 +1,6 @@
+import pickle
+import sys
+
 import pytest
 
 from holeymagic import (
@@ -230,9 +233,88 @@ def test_cache_rejects_malformed_file(tmp_path):
     path.write_text("KEY ms 5 3 -\n5 5\ntruncated\n")
     with pytest.raises(CorruptCache):
         IngredientCache(path).load("ms", (5, 3))
+    # "²" passes str.isdigit() but int() rejects it
+    path.write_text("KEY mr 4 6 -\n² 6\n")
+    with pytest.raises(CorruptCache):
+        IngredientCache(path).load("mr", (4, 6))
 
 
 def test_cached_mrs_roundtrip(tmp_path):
     cache = IngredientCache(tmp_path / "ing.mrx")
     rects = magic_rectangle_set(2, 4, 2, cache=cache)
     assert cache.load("mrs", (2, 4, 2)) == rects
+
+
+# --- search kernel invariants -----------------------------------------------
+
+# Outputs of the backtracking search on pinned problems, frozen before the
+# kernel was rewritten for speed.  Any kernel must reproduce them byte for
+# byte and spend exactly the pinned node counts.
+SEARCHED_MR_4_6 = """\
+4 6
+0 1 2 21 22 23
+7 10 15 11 12 14
+19 17 13 6 9 5
+20 18 16 8 3 4
+"""
+
+SEARCHED_MRS_3_3_3 = """\
+3 3
+0 13 26
+14 24 1
+25 2 12
+3 3
+3 16 20
+17 18 4
+19 5 15
+3 3
+6 10 23
+11 21 7
+22 8 9
+"""
+
+SEARCHED_MS_8_4_PROFILE = """\
+8 8
+. . . . 0 8 23 31
+9 . . . . 7 27 19
+20 29 . . . . 2 11
+28 16 17 . . . . 1
+5 13 30 14 . . . .
+. 4 12 24 22 . . .
+. . 3 18 15 26 . .
+. . . 6 25 21 10 .
+"""
+
+
+PINNED_SEARCHES = [
+    # (search at a node budget, least budget that succeeds, frozen output,
+    # ingredient named when the budget runs out)
+    (lambda budget: [classical_rectangle(4, 6, budget=budget)], 7_836, SEARCHED_MR_4_6,
+     "MR(4,6)"),
+    (lambda budget: magic_rectangle_set(3, 3, 3, budget=budget), 28_801, SEARCHED_MRS_3_3_3,
+     "MRS(3,3;3)"),
+    (lambda budget: [magic_square_holes(8, 4, DiagonalProfile(((1, 0, 7),)), budget=budget)],
+     213_750, SEARCHED_MS_8_4_PROFILE, "MS(8;4) profile 1:0:7"),
+]
+
+
+@pytest.mark.parametrize("search, nodes, frozen, ingredient", PINNED_SEARCHES,
+                         ids=["mr_4_6", "mrs_3_3_3", "ms_8_4_profile"])
+def test_pinned_node_counts_and_outputs(search, nodes, frozen, ingredient):
+    assert "".join(serialize(g) for g in search(nodes)) == frozen
+    with pytest.raises(SearchBudgetExceeded) as info:
+        search(nodes - 1)
+    # the attempt that overruns the budget is the one that raises
+    assert str(info.value) == f"{ingredient}: node budget exhausted after {nodes} nodes"
+    assert (info.value.ingredient, info.value.nodes) == (ingredient, nodes)
+    # callers in worker processes receive it pickled
+    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+
+
+def test_deep_search_does_not_recurse():
+    # the search first passes depth 1000 (of 1400 cells) after about 355k
+    # nodes and succeeds after 375 103; a recursive kernel dies on the way
+    limit = sys.getrecursionlimit()
+    grid = classical_rectangle(2, 700, budget=400_000)
+    assert verify(grid, MagicSpec(2, 700, 700, 2)).ok
+    assert sys.getrecursionlimit() == limit
