@@ -13,8 +13,12 @@ class ParseError(HoleyMagicError):
     """Malformed MRX text.  Carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)  # args rebuild it when unpickled
+        self.message = message
         self.line = line
+
+    def __str__(self):
+        return f"line {self.line}: {self.message}"
 
 
 class ParityError(HoleyMagicError):

@@ -586,6 +586,8 @@ class IngredientCache:
             return {}
         except OSError as exc:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CorruptCache(f"{self.path}: undecodable bytes: {exc}") from exc
         entries: Dict[str, List[str]] = {}
         lines = raw.splitlines(keepends=True)
         pos = 0

@@ -174,6 +174,15 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert path.exists()
 
 
+def test_undecodable_cache_exits_one(capsys, tmp_path):
+    path = tmp_path / "cache.mrx"
+    path.write_bytes(b"KEY mr 4 6 -\n4 6\n\xff\xfe 1\n")
+    code, out, err = run(capsys, "ingredient", "mr", "--a", "4", "--b", "6",
+                         "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert "undecodable" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "construct")[0] == 2

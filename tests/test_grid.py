@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -131,6 +132,12 @@ def test_parse_requires_trailing_newline():
     with pytest.raises(ParseError) as exc:
         parse("1 1\n0")
     assert exc.value.line == 2
+
+
+def test_parse_error_pickles():
+    err = ParseError("bad", 3)
+    back = pickle.loads(pickle.dumps(err))
+    assert (str(back), back.line) == (str(err), err.line) == ("line 3: bad", 3)
 
 
 def test_parse_bad_header():

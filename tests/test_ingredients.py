@@ -237,6 +237,9 @@ def test_cache_rejects_malformed_file(tmp_path):
     path.write_text("KEY mr 4 6 -\n² 6\n")
     with pytest.raises(CorruptCache):
         IngredientCache(path).load("mr", (4, 6))
+    path.write_bytes(b"KEY mr 4 6 -\n4 6\n\xff\xfe 1\n")
+    with pytest.raises(CorruptCache):
+        IngredientCache(path).load("mr", (4, 6))
 
 
 def test_cached_mrs_roundtrip(tmp_path):

@@ -1,8 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
-from holeymagic import HoleyGrid, MagicSpec, ShapeError, verify
+from holeymagic import HoleyGrid, MagicSpec, ShapeError, serialize, verify
 from holeymagic.oracle import EnumerationResult, enumerate as brute_enumerate, exists_brute
 
 
@@ -112,3 +113,44 @@ def test_nonintegral_constants_short_circuit():
     result = brute_enumerate(4, 6, 3, 2, node_budget=1)
     assert result.count == 0
     assert result.exhausted
+
+
+# Node charging, frozen before the oracle became an explicit-stack loop: a
+# node is one allowed Empty attempt or one free value examined, counting the
+# value that ends a cell's ascending walk, and a run stops on budget + 1.
+# Each shape exhausts at exactly the pinned budget and not one node sooner.
+@pytest.mark.parametrize("shape, nodes, count", [
+    ((3, 3, 3, 3), 4287, 72),
+    ((2, 4, 4, 2), 1808, 48),
+    ((4, 4, 2, 2), 5024, 0),
+])
+def test_pinned_node_charging(shape, nodes, count):
+    done = brute_enumerate(*shape, witness_cap=0, node_budget=nodes)
+    assert done == EnumerationResult(count, (), True)
+    cut = brute_enumerate(*shape, witness_cap=0, node_budget=nodes - 1)
+    assert cut == EnumerationResult(count, (), False)
+
+
+PARTIAL_3_5_5_3 = """\
+3 5
+0 1 8 12 14
+10 13 4 3 5
+11 7 9 6 2
+"""
+
+
+def test_pinned_partial_result():
+    result = brute_enumerate(3, 5, 5, 3, witness_cap=1, node_budget=20_000,
+                             allow_large=True)
+    assert (result.count, result.exhausted) == (10, False)
+    assert [serialize(w) for w in result.witnesses] == [PARTIAL_3_5_5_3]
+
+
+def test_deep_walk_does_not_recurse():
+    # Row 0 opens with 1204 Empty cells, so the walk passes 1205 cells deep,
+    # beyond the interpreter's default recursion limit of 1000.
+    limit = sys.getrecursionlimit()
+    result = brute_enumerate(5, 1505, 301, 1, witness_cap=1, node_budget=2000,
+                             allow_large=True)
+    assert (result.count, result.exhausted) == (0, False)
+    assert sys.getrecursionlimit() == limit
