@@ -2,17 +2,19 @@
 
 Thin by design: each command maps to one library operation, prints MRX or
 a one-line verdict, and turns library errors into exit codes (1 for
-domain failures, 2 for usage problems).
+domain failures, 2 for usage problems).  The argument parser is built
+once per process, on the first dispatch(), and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import construct, existence, ingredients, oracle
-from .errors import HoleyMagicError, NotConstructible
+from .errors import HoleyMagicError, NotConstructible, ParseError
 from .grid import MagicSpec, parse, serialize, verify
 from .ingredients import DiagonalProfile
 from .kotzig import kotzig
@@ -98,11 +100,16 @@ def _run_block_set(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.path is None:
-        text = sys.stdin.read()
-    else:
-        with open(args.path, "r") as fh:
-            text = fh.read()
+    try:
+        if args.path is None:
+            text = sys.stdin.read()
+        else:
+            with open(args.path, "r") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"undecodable byte {exc.object[exc.start]:#04x}: {exc.reason}",
+                         line) from exc
     grid = parse(text)
     m, n, r, s = args.spec
     report = verify(grid, MagicSpec(m, n, r, s))
@@ -161,6 +168,7 @@ def _add_cache_flag(sub) -> None:
                      help="ingredient cache file (default: $HOLEY_CACHE if set)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holeymagic",

@@ -28,10 +28,8 @@ REASONS = (
     "ShapeInfeasible",
     "RowSumNonIntegral",
     "ColSumNonIntegral",
-    "CoprimeHoles",
     "TwoTwoSquare",
     "ClassicalParity",
-    "FiveCaseParity",
 )
 
 
@@ -79,10 +77,6 @@ def necessary_conditions(m: int, n: int, r: int, s: int) -> List[str]:
         out.append("RowSumNonIntegral")
     if s % 2 == 1 and total % 2 == 0:
         out.append("ColSumNonIntegral")
-    # For well-shaped inputs gcd(m,n)=1 forces n | r, so holes are already
-    # impossible; the tag is kept for completeness of the report.
-    if math.gcd(m, n) == 1 and r < n:
-        out.append("CoprimeHoles")
     if m == n and r == 2 and s == 2:
         out.append("TwoTwoSquare")
     return out
@@ -127,12 +121,10 @@ def decide(m: int, n: int, r: int, s: int) -> Decision:
     assert s % a == 0  # m*r = n*s and gcd(a,b)=1 force a | s
     sigma = s // a
 
-    if (a, b) == (2, 3):
-        if sigma % 2 == 0:
-            return _exists("FiveCase")
-        # odd sigma makes r odd with m*r even, so the integrality screen
-        # above has already fired; kept for the complete characterisation
-        return _not_exists("FiveCaseParity")
+    # odd sigma makes r odd with m*r even: the integrality screen above
+    # has already answered
+    if (a, b) == (2, 3) and sigma % 2 == 0:
+        return _exists("FiveCase")
 
     if a > 1 and b > 1 and a % 2 == 1 and b % 2 == 1 and a + b > 5:
         if 3 <= sigma <= d and (sigma % 2 == 0 or d % 2 == 1):

@@ -1,6 +1,11 @@
+import argparse
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
-from holeymagic import MagicSpec, parse, verify
+from holeymagic import MagicSpec, oracle, parse, verify
 from holeymagic.cli import dispatch
 
 import golden
@@ -94,6 +99,22 @@ def test_verify_parse_error(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_verify_undecodable_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "grid.mrx"
+    path.write_bytes(b"1 1\n\xff\n")
+    code, out, err = run(capsys, "verify", str(path), "--spec", "1", "1", "1", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: undecodable byte 0xff: invalid start byte\n"
+
+
+def test_verify_undecodable_stdin_exits_one(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"1 1\n\xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "verify", "--spec", "1", "1", "1", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: undecodable byte 0xff: invalid start byte\n"
+
+
 def test_decide_exists(capsys):
     code, out, _ = run(capsys, "decide", "--m", "5", "--n", "10", "--r", "4", "--s", "2")
     assert (code, out) == (0, "EXISTS TwoPerColumn\n")
@@ -167,7 +188,9 @@ def test_ingredient_cache_flag(capsys, tmp_path):
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "envcache.mrx"
+    # the reused parser must not carry the previous call's --cache over
+    flag, path = tmp_path / "flagcache.mrx", tmp_path / "envcache.mrx"
+    assert run(capsys, "ingredient", "mr", "--a", "4", "--b", "6", "--cache", str(flag))[0] == 0
     monkeypatch.setenv("HOLEY_CACHE", str(path))
     code, _, _ = run(capsys, "ingredient", "mr", "--a", "4", "--b", "6")
     assert code == 0
@@ -189,7 +212,56 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "construct", "bogus")[0] == 2
     assert run(capsys, "decide", "--m", "3")[0] == 2
     assert run(capsys, "kotzig", "--s", "0", "--k", "3")[0] == 2
+    # a usage error leaves nothing behind in the reused parser
+    code, out, err = run(capsys, "decide", "--m", "5", "--n", "10", "--r", "4", "--s", "2")
+    assert (code, out, err) == (0, "EXISTS TwoPerColumn\n", "")
 
 
 def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
+    first = run(capsys, "--help")
+    assert first[0] == 0 and first[1].startswith("usage: holeymagic")
+    assert run(capsys, "--help") == first
+
+
+def test_oracle_default_budget(capsys, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["node_budget"])
+        return oracle.EnumerationResult(0, (), True)
+
+    monkeypatch.setattr(oracle, "enumerate", spy)
+    argv = ["oracle", "--m", "3", "--n", "3", "--r", "2", "--s", "2"]
+    assert run(capsys, *argv, "--budget", "10")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [10, oracle.DEFAULT_NODE_BUDGET]
+
+
+def test_dispatch_builds_parser_once(capsys, monkeypatch):
+    # this call or an earlier test built the parser; no later call builds one
+    run(capsys, "decide", "--m", "3", "--n", "3", "--r", "2", "--s", "2")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run(capsys, "decide", "--m", "3", "--n", "3", "--r", "2", "--s", "2")
+    run(capsys, "kotzig", "--s", "3", "--k", "9")
+    run(capsys, "decide", "--m", "3")
+    assert built == []
+
+
+def test_module_entry_point_pipe():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cli = [sys.executable, "-m", "holeymagic.cli"]
+    build = subprocess.Popen(cli + ["construct", "two-per-column", "--m", "3", "--k", "2"],
+                             stdout=subprocess.PIPE, env=env)
+    check = subprocess.run(cli + ["verify", "--spec", "3", "6", "4", "2"], stdin=build.stdout,
+                           capture_output=True, text=True, env=env, timeout=60)
+    build.stdout.close()
+    assert build.wait(timeout=60) == 0
+    assert (check.returncode, check.stdout, check.stderr) == (0, "OK row=22 col=11\n", "")

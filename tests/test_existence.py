@@ -1,6 +1,7 @@
 import pytest
 
 from holeymagic import Decision, decide, necessary_conditions
+from holeymagic.existence import REASONS
 
 
 def test_decision_field_coupling():
@@ -74,6 +75,21 @@ def test_decide_routes():
 def test_decide_shape_violations():
     assert decide(3, 4, 2, 2).reason == "ShapeInfeasible"
     assert decide(4, 6, 3, 2).reason == "RowSumNonIntegral"
+
+
+REASON_EXAMPLES = {
+    "ShapeInfeasible": (3, 4, 2, 2),
+    "RowSumNonIntegral": (4, 6, 3, 2),
+    "ColSumNonIntegral": (6, 4, 2, 3),
+    "TwoTwoSquare": (3, 3, 2, 2),
+    "ClassicalParity": (2, 5, 5, 2),
+}
+
+
+def test_every_reason_is_reachable():
+    assert set(REASON_EXAMPLES) == set(REASONS)
+    for reason, shape in REASON_EXAMPLES.items():
+        assert decide(*shape) == Decision("not-exists", reason=reason)
 
 
 def test_decide_is_pure():
