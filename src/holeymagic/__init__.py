@@ -7,7 +7,6 @@ search with a persistent cache, and an independent brute-force oracle.
 
 from . import oracle
 from .construct import (
-    DiagonalBlock,
     NmssResult,
     block_set,
     five_case,
@@ -63,7 +62,6 @@ __all__ = [
     "CorruptCache",
     "DEFAULT_BUDGET",
     "Decision",
-    "DiagonalBlock",
     "DiagonalProfile",
     "EnumerationResult",
     "HoleyGrid",

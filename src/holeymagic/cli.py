@@ -2,8 +2,10 @@
 
 Thin by design: each command maps to one library operation, prints MRX or
 a one-line verdict, and turns library errors into exit codes (1 for
-domain failures, 2 for usage problems).  The argument parser is built
-once per process, on the first dispatch(), and reused by every later call.
+domain failures, 2 for usage problems).  The construct subcommands that
+match a decide route run that route's build from construct.BUILDS.  The
+argument parser is built once per process, on the first dispatch(), and
+reused by every later call.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import os
 import sys
 
 from . import construct, existence, ingredients, oracle
-from .errors import HoleyMagicError, NotConstructible, ParseError
+from .errors import HoleyMagicError, ParseError
 from .grid import MagicSpec, parse, serialize, verify
-from .ingredients import DiagonalProfile
 from .kotzig import kotzig
 
 
@@ -50,15 +51,13 @@ def _emit(grid) -> int:
     return 0
 
 
-def _run_two_per_column(args) -> int:
-    return _emit(construct.two_per_column(args.m, args.k))
-
-
-def _run_stacked(args) -> int:
-    square = None
-    if args.s != 2:  # the s=2 case delegates internally and needs no square
-        square = ingredients.magic_square_holes(args.m, args.s, cache=_cache_of(args))
-    return _emit(construct.stacked(args.m, args.k, args.s, square))
+def _run_route(route: str, *flags: str):
+    """Handler of a `construct` subcommand: the route's build, with the
+    subcommand's flags as its params."""
+    def run(args) -> int:
+        params = [getattr(args, flag) for flag in flags]
+        return _emit(construct.BUILDS[route](*params, cache=_cache_of(args)))
+    return run
 
 
 def _run_nmss(args) -> int:
@@ -67,36 +66,6 @@ def _run_nmss(args) -> int:
     for sq in result.squares:
         sys.stdout.write(serialize(sq))
     return 0
-
-
-def _run_product(args) -> int:
-    cache = _cache_of(args)
-    square = ingredients.magic_square_holes(args.m, args.s, cache=cache)
-    rect = ingredients.classical_rectangle(args.a, args.b, cache=cache)
-    return _emit(construct.product(square, rect))
-
-
-def _run_five_case(args) -> int:
-    m, s = args.m, args.s
-    if m < 1 or s < 1:
-        raise ValueError("m and s must be positive")
-    if s % 2 == 1:
-        raise NotConstructible(f"no MR({2 * m},{3 * m};{3 * s},{2 * s}): s must be even")
-    if s > m:
-        raise NotConstructible(f"need s <= m, got s={s} m={m}")
-    cache = _cache_of(args)
-    profile = DiagonalProfile(((s // 2, 0, m * s - 1),))
-    big = ingredients.magic_square_holes(2 * m, 2 * s, profile=profile, cache=cache)
-    if s == 2:
-        strip = construct.two_per_column(m, 2)
-    else:
-        strip = construct.stacked(m, 2, s, ingredients.magic_square_holes(m, s, cache=cache))
-    return _emit(construct.five_case(m, s, big, strip))
-
-
-def _run_block_set(args) -> int:
-    members = ingredients.magic_rectangle_set(args.a, args.b, args.c, cache=_cache_of(args))
-    return _emit(construct.block_set(args.a, args.b, args.c, members))
 
 
 def _run_verify(args) -> int:
@@ -182,14 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("two-per-column", help="MR(m,km;2k,2)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_run_two_per_column)
+    p.set_defaults(func=_run_route("TwoPerColumn", "m", "k"))
 
     p = csub.add_parser("stacked", help="MR(m,km;ks,s)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_cache_flag(p)
-    p.set_defaults(func=_run_stacked)
+    p.set_defaults(func=_run_route("Stacked", "m", "k", "s"))
 
     p = csub.add_parser("nmss", help="t separate squares sharing one constant")
     p.add_argument("--m", type=int, required=True)
@@ -204,20 +173,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     _add_cache_flag(p)
-    p.set_defaults(func=_run_product)
+    p.set_defaults(func=_run_route("Product", "m", "s", "a", "b"))
 
     p = csub.add_parser("five-case", help="MR(2m,3m;3s,2s)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_cache_flag(p)
-    p.set_defaults(func=_run_five_case)
+    p.set_defaults(func=_run_route("FiveCase", "m", "s"))
 
     p = csub.add_parser("block-set", help="MR(ac,bc;b,a) from an MRS(a,b;c)")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     _add_cache_flag(p)
-    p.set_defaults(func=_run_block_set)
+    p.set_defaults(func=_run_route("BlockSet", "a", "b", "c"))
 
     p = top.add_parser("verify", help="check an MRX grid against a spec")
     p.add_argument("path", nargs="?", default=None,

@@ -3,36 +3,20 @@
 Each operation turns parameters (plus pre-built ingredient grids where
 needed) into a grid that passes verify for its declared spec.  Ingredients
 are re-validated here even when they come from the trusted catalog.
+BUILDS gives each route of existence.ROUTES one build from its params,
+which fetches the ingredients and calls the constructor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from . import ingredients
-from .errors import BadIngredient, NotConstructible, ShapeError
-from .grid import (
-    HoleyGrid,
-    MagicSpec,
-    cyclic_run_start,
-    diagonal_support,
-    is_consecutive_cyclic,
-    verify,
-)
-from .ingredients import DiagonalProfile
+from . import existence, ingredients
+from .errors import BadIngredient, NotConstructible
+from .grid import HoleyGrid, MagicSpec, cyclic_run_start, is_consecutive_cyclic
+from .ingredients import DiagonalProfile, require_magic, require_ms, require_mrs
 from .kotzig import kotzig
-
-
-@dataclass(frozen=True)
-class DiagonalBlock:
-    """Contents of one labeled diagonal of one subsquare: `values[p]` is the
-    entry in row p (at column (p + diagonal) mod m)."""
-
-    square_index: int
-    diagonal_label: int
-    values: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -42,27 +26,6 @@ class NmssResult:
 
     squares: Tuple[HoleyGrid, ...]
     constant: int
-
-
-def _require(grid: HoleyGrid, spec: MagicSpec, what: str) -> None:
-    try:
-        report = verify(grid, spec)
-    except ShapeError as exc:
-        raise BadIngredient(f"{what}: {exc}") from exc
-    if not report.ok:
-        tags = " ".join(str(v) for v in report.failures[:4])
-        raise BadIngredient(f"{what} fails verification for {spec}: {tags}")
-
-
-def _require_ms(square: HoleyGrid, m: int, s: int) -> frozenset:
-    """Validate an s-diagonal MS(m;s) ingredient; return its support."""
-    _require(square, MagicSpec(m, m, s, s), f"MS({m};{s}) ingredient")
-    support = diagonal_support(square)
-    if len(support) != s or not is_consecutive_cyclic(support, m):
-        raise BadIngredient(
-            f"MS({m};{s}) ingredient is not {s}-diagonal: support {sorted(support)}"
-        )
-    return support
 
 
 def _canonical_labels(support: frozenset, m: int) -> List[int]:
@@ -116,53 +79,37 @@ def two_per_column(m: int, k: int) -> HoleyGrid:
 def _stacked_squares(m: int, k: int, s: int, square: HoleyGrid) -> List[HoleyGrid]:
     """The k subsquares of the stacked construction, built by routing
     shifted copies of the ingredient's diagonals through a Kotzig array."""
-    support = _require_ms(square, m, s)
+    support = require_ms(square, m, s)
     labels = _canonical_labels(support, m)
     routing = kotzig(s, k).entries
-
-    # blocks[l][i] = diagonal label i of the ingredient shifted into copy l
-    blocks: List[List[DiagonalBlock]] = []
-    for l in range(k):
-        shift = l * m * s
-        row = []
-        for i, d in enumerate(labels):
-            values = []
-            for p in range(m):
-                v = square.cells[p][(p + d) % m]
-                if v is None:
-                    raise BadIngredient(f"diagonal {d} of MS({m};{s}) ingredient has a hole")
-                values.append(v + shift)
-            row.append(DiagonalBlock(l, i, tuple(values)))
-        blocks.append(row)
+    # diagonals[i][p]: the ingredient's entry in row p of diagonal label i,
+    # complete since require_ms accepted exactly s diagonals
+    diagonals = [[square.cells[p][(p + d) % m] for p in range(m)] for d in labels]
 
     squares = []
     for j in range(k):
         cells: List[List] = [[None] * m for _ in range(m)]
         for i, d in enumerate(labels):
-            block = blocks[routing[i][j]][i]
+            shift = routing[i][j] * m * s  # label i comes from copy routing[i][j]
             for p in range(m):
-                cells[p][(p + d) % m] = block.values[p]
+                cells[p][(p + d) % m] = diagonals[i][p] + shift
         squares.append(HoleyGrid.from_rows(cells))
     return squares
 
 
 def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
-    """MR(m, km; ks, s) from an s-diagonal MS(m;s) ingredient."""
+    """MR(m, km; ks, s) from an s-diagonal MS(m;s) ingredient; s = 2 is
+    two_per_column and takes no square."""
     if min(m, k, s) < 1:
         raise ValueError("m, k and s must be positive")
-    if m == s == k == 1:
-        _require_ms(square, 1, 1)
-        return square
-    if not (2 <= s <= m and (s % 2 == 0 or (k * m) % 2 == 1)):
+    if s == 2:
+        return two_per_column(m, k)
+    if not existence.nmss_exists(m, s, k):
         raise NotConstructible(
             f"no MR({m},{k * m};{k * s},{s}): need 2 <= s <= m and s even or km odd"
         )
-    if s == 2:
-        if k == 1:
-            raise NotConstructible(f"MR({m},{m};2,2) does not exist for any m")
-        return two_per_column(m, k)
     if k == 1:
-        _require_ms(square, m, s)
+        require_ms(square, m, s)
         return square
 
     squares = _stacked_squares(m, k, s, square)
@@ -180,10 +127,7 @@ def nmss(m: int, s: int, t: int, square: HoleyGrid) -> NmssResult:
     construction kept separate, sharing the constant s(mst-1)/2."""
     if min(m, s, t) < 1:
         raise ValueError("m, s and t must be positive")
-    if m == s == t == 1:
-        _require_ms(square, 1, 1)
-        return NmssResult((square,), 0)
-    if not (3 <= s <= m and (s % 2 == 0 or (m * t) % 2 == 1)):
+    if not existence.nmss_exists(m, s, t):
         raise NotConstructible(
             f"no NMSS({m},{s};{t}): need 3 <= s <= m and s even or mt odd"
         )
@@ -208,9 +152,9 @@ def product(square: HoleyGrid, rect: HoleyGrid) -> HoleyGrid:
     s = filled // m
     if s < 1:
         raise BadIngredient("first ingredient is empty")
-    _require(square, MagicSpec(m, m, s, s), f"MS({m};{s}) ingredient")
+    require_magic(square, MagicSpec(m, m, s, s), f"MS({m};{s}) ingredient")
     a, b = rect.rows, rect.cols
-    _require(rect, MagicSpec(a, b, b, a), f"MR({a},{b}) ingredient")
+    require_magic(rect, MagicSpec(a, b, b, a), f"MR({a},{b}) ingredient")
 
     ab = a * b
     cells: List[List] = [[None] * (b * m) for _ in range(a * m)]
@@ -248,16 +192,11 @@ def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGri
     split cleanly below/above ms within each m x m half, s/2 high per half.
     Those cells get bumped by 4ms, then the strip is glued on transposed.
     """
-    if m < 1 or s < 1:
-        raise ValueError("m and s must be positive")
-    if s % 2 == 1:
-        raise NotConstructible(f"no MR({2 * m},{3 * m};{3 * s},{2 * s}): s must be even")
-    if s > m:
-        raise NotConstructible(f"need s <= m, got s={s} m={m}")
+    _five_case_gate(m, s)
     ms = m * s
     bump = 4 * ms
 
-    support = _require_ms(square2m, 2 * m, 2 * s)
+    support = require_ms(square2m, 2 * m, 2 * s)
     low_diagonals = []
     for d in sorted(support):
         vals = [square2m.cells[p][(p + d) % (2 * m)] for p in range(2 * m)]
@@ -279,7 +218,7 @@ def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGri
     if not is_consecutive_cyclic(set(low_diagonals), 2 * m):
         raise BadIngredient("low diagonals of the big square are not consecutive")
 
-    _require(strip, MagicSpec(m, 2 * m, 2 * s, s), f"MR({m},{2 * m};{2 * s},{s}) strip")
+    require_magic(strip, MagicSpec(m, 2 * m, 2 * s, s), f"MR({m},{2 * m};{2 * s},{s}) strip")
     halves = _strip_half_diagonals(strip, m)
     high: Dict[int, List[int]] = {0: [], 1: []}
     for (h, d), vals in halves.items():
@@ -318,17 +257,7 @@ def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGri
 def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
     """MR(ac, bc; b, a) with the c members of an MRS(a,b;c) on the block
     diagonal and every other block empty."""
-    if min(a, b, c) < 1:
-        raise ValueError("a, b and c must be positive")
-    if not 2 <= a <= b:
-        raise NotConstructible(f"need 2 <= a <= b, got a={a} b={b}")
-    all_odd = a % 2 == 1 and b % 2 == 1 and c % 2 == 1
-    both_even = a % 2 == 0 and b % 2 == 0 and (a, b) != (2, 2)
-    if not (all_odd or both_even):
-        raise NotConstructible(
-            f"no MRS({a},{b};{c}): need a,b,c all odd, or a,b both even and not (2,2)"
-        )
-    _require_mrs(rects, a, b, c)
+    require_mrs(rects, a, b, c)
 
     cells: List[List] = [[None] * (b * c) for _ in range(a * c)]
     for k, rect in enumerate(rects):
@@ -337,29 +266,43 @@ def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
     return HoleyGrid.from_rows(cells)
 
 
-def _require_mrs(rects: Sequence[HoleyGrid], a: int, b: int, c: int) -> None:
-    """Validate a magic rectangle set: c full a x b rectangles jointly
-    holding 0..abc-1 with common row sum b(abc-1)/2 and column sum
-    a(abc-1)/2 (checked doubled to stay in integers)."""
-    if len(rects) != c:
-        raise BadIngredient(f"expected {c} rectangles, got {len(rects)}")
-    double_row = b * (a * b * c - 1)
-    double_col = a * (a * b * c - 1)
-    values = []
-    for idx, rect in enumerate(rects):
-        if (rect.rows, rect.cols) != (a, b):
-            raise BadIngredient(f"member {idx} is {rect.rows}x{rect.cols}, expected {a}x{b}")
-        for i, row in enumerate(rect.cells):
-            if any(v is None for v in row):
-                raise BadIngredient(f"member {idx} has holes")
-            if 2 * sum(row) != double_row:
-                raise BadIngredient(f"member {idx} row {i} breaks the row constant")
-        for j in range(b):
-            if 2 * sum(rect.cells[i][j] for i in range(a)) != double_col:
-                raise BadIngredient(f"member {idx} column {j} breaks the column constant")
-        values.extend(v for _, _, v in rect.filled())
-    if sorted(values) != list(range(a * b * c)):
-        raise BadIngredient(f"members do not partition 0..{a * b * c - 1}")
+def _five_case_gate(m: int, s: int) -> None:
+    if m < 1 or s < 1:
+        raise ValueError("m and s must be positive")
+    if not existence.five_case_exists(m, s):
+        raise NotConstructible(
+            f"no MR({2 * m},{3 * m};{3 * s},{2 * s}): need s even and s <= m"
+        )
+
+
+def _build_stacked(m, k, s, **kw):
+    square = None if s == 2 else ingredients.magic_square_holes(m, s, **kw)
+    return stacked(m, k, s, square)
+
+
+def _build_five_case(m, s, **kw):
+    _five_case_gate(m, s)  # before any ingredient search
+    profile = DiagonalProfile(((s // 2, 0, m * s - 1),))
+    big = ingredients.magic_square_holes(2 * m, 2 * s, profile=profile, **kw)
+    strip = _build_stacked(m, 2, s, **kw)  # MR(m,2m;2s,s)
+    return five_case(m, s, big, strip)
+
+
+# Route name -> build(*params, **kw): params as existence.ROUTES gives them
+# (or as the construct subcommands take them), kw (cache, budget) for the
+# ingredient lookups.  Builds look the constructors up by module name at
+# call time, so wrappers set on those names (holeybench/trace.py) see them.
+BUILDS = {
+    "Trivial": lambda **kw: HoleyGrid.from_rows([[0]]),
+    "Classical": lambda a, b, **kw: ingredients.classical_rectangle(a, b, **kw),
+    "TwoPerColumn": lambda m, k, **kw: two_per_column(m, k),
+    "Stacked": _build_stacked,
+    "FiveCase": _build_five_case,
+    "Product": lambda m, s, a, b, **kw: product(ingredients.magic_square_holes(m, s, **kw),
+                                                ingredients.classical_rectangle(a, b, **kw)),
+    "BlockSet": lambda a, b, c, **kw: block_set(
+        a, b, c, ingredients.magic_rectangle_set(a, b, c, **kw)),
+}
 
 
 def realize(m: int, n: int, r: int, s: int, *, cache=None, budget=None) -> HoleyGrid:
@@ -368,44 +311,9 @@ def realize(m: int, n: int, r: int, s: int, *, cache=None, budget=None) -> Holey
     Raises NotConstructible when the verdict is NotExists or Unknown, and
     passes SearchBudgetExceeded through when an ingredient search gives up.
     """
-    from .existence import decide
-
-    decision = decide(m, n, r, s)
+    decision = existence.decide(m, n, r, s)
     if decision.verdict != "exists":
         raise NotConstructible(f"decide({m},{n},{r},{s}) is {decision.verdict}")
-    kw = {}
-    if cache is not None:
-        kw["cache"] = cache
-    if budget is not None:
-        kw["budget"] = budget
-
-    route = decision.route
-    if route == "Trivial":
-        return HoleyGrid.from_rows([[0]])
-    if route == "Classical":
-        return ingredients.classical_rectangle(m, n, **kw)
-    if route == "TwoPerColumn":
-        return two_per_column(m, n // m)
-    if route == "Stacked":
-        square = ingredients.magic_square_holes(m, s, **kw)
-        return stacked(m, n // m, s, square)
-    if route == "FiveCase":
-        d = m // 2
-        sigma = s // 2
-        profile = DiagonalProfile(((sigma // 2, 0, d * sigma - 1),))
-        big = ingredients.magic_square_holes(m, s, profile=profile, **kw)
-        if sigma == 2:
-            strip = two_per_column(d, 2)
-        else:
-            strip = stacked(d, 2, sigma, ingredients.magic_square_holes(d, sigma, **kw))
-        return five_case(d, sigma, big, strip)
-    if route == "Product":
-        g = math.gcd(m, n)
-        a, b = m // g, n // g
-        square = ingredients.magic_square_holes(g, s // a, **kw)
-        rect = ingredients.classical_rectangle(a, b, **kw)
-        return product(square, rect)
-    if route == "BlockSet":
-        members = ingredients.magic_rectangle_set(s, r, m // s, **kw)
-        return block_set(s, r, m // s, members)
-    raise NotConstructible(f"no constructor wired for route {route}")
+    kw = {"cache": cache} if budget is None else {"cache": cache, "budget": budget}
+    params = existence.ROUTES[decision.route](m, n, r, s)
+    return BUILDS[decision.route](*params, **kw)

@@ -4,6 +4,9 @@ decide() is sound in both directions: an "exists" verdict names a
 construction route that realize() can actually follow, a "not-exists"
 verdict names a proven obstruction, and anything the implemented theory
 does not settle comes back "unknown" rather than guessed.
+
+Each existence theorem is stated once here, as a predicate; the ingredient
+searches and the constructors gate on the same predicates.
 """
 
 from __future__ import annotations
@@ -14,15 +17,92 @@ from typing import List, Optional
 
 VERDICTS = ("exists", "not-exists", "unknown")
 
-ROUTES = (
-    "Trivial",
-    "Classical",
-    "TwoPerColumn",
-    "Stacked",
-    "Product",
-    "FiveCase",
-    "BlockSet",
-)
+
+def nmss_exists(m: int, s: int, t: int) -> bool:
+    """NMSS(m,s;t), t s-diagonal MS(m;s) jointly holding 0..mst-1 with one
+    common line sum, exists iff m=s=t=1, or 3 <= s <= m with s even or mt
+    odd.  Set side by side, the t squares form the stacked MR(m,tm;ts,s)."""
+    return m == s == t == 1 or (3 <= s <= m and (s % 2 == 0 or m * t % 2 == 1))
+
+
+def ms_exists(m: int, s: int) -> bool:
+    """An s-diagonal holey magic square MS(m;s) is an NMSS(m,s;1)."""
+    return nmss_exists(m, s, 1)
+
+
+def mr_exists(a: int, b: int) -> bool:
+    """A full a x b magic rectangle exists iff a=b=1, or a = b (mod 2),
+    a+b > 5 and a,b > 1."""
+    return a == b == 1 or (a % 2 == b % 2 and a + b > 5 and a > 1 and b > 1)
+
+
+def mrs_exists(a: int, b: int, c: int) -> bool:
+    """MRS(a,b;c), c full a x b rectangles jointly holding 0..abc-1 with
+    common row and column sums, taken short side first (1 < a <= b):
+    exists iff a,b,c are all odd, or a,b are both even and (a,b) != (2,2)."""
+    return 1 < a <= b and (a % 2 == b % 2 == c % 2 == 1
+                           or (a % 2 == b % 2 == 0 and (a, b) != (2, 2)))
+
+
+def five_case_exists(m: int, s: int) -> bool:
+    """The five-case construction builds MR(2m,3m;3s,2s) for even s <= m."""
+    return s % 2 == 0 and s <= m
+
+
+# Route parameters: each takes a well-formed shape that violates no
+# necessary condition and returns the parameters of the route's build
+# (construct.BUILDS), or None when the route does not cover the shape.
+
+def _trivial(m, n, r, s):
+    return () if m == n == 1 else None
+
+
+def _classical(m, n, r, s):
+    return (m, n) if r == n and mr_exists(m, n) else None
+
+
+def _two_per_column(m, n, r, s):
+    # k = n/m = 1 would be the screened 2x2 square case
+    return (m, n // m) if s == 2 and n % m == 0 else None
+
+
+def _stacked(m, n, r, s):
+    return (m, n // m, s) if n % m == 0 and nmss_exists(m, s, n // m) else None
+
+
+def _five_case(m, n, r, s):
+    d = math.gcd(m, n)
+    if (m // d, n // d) == (2, 3) and five_case_exists(d, s // 2):
+        return (d, s // 2)
+    return None
+
+
+def _product(m, n, r, s):
+    d = math.gcd(m, n)
+    a, b = m // d, n // d  # m*r = n*s and gcd(a,b) = 1 force a | s
+    if mr_exists(a, b) and ms_exists(d, s // a):
+        return (d, s // a, a, b)
+    return None
+
+
+def _block_set(m, n, r, s):
+    # m/s = n/r, so s | m makes it the member count c
+    if m % s == 0 and mrs_exists(s, r, m // s):
+        return (s, r, m // s)
+    return None
+
+
+# Route name -> params, in the order decide() tries them, which fixes the
+# verdict where routes overlap.
+ROUTES = {
+    "Trivial": _trivial,
+    "Classical": _classical,
+    "TwoPerColumn": _two_per_column,
+    "Stacked": _stacked,
+    "FiveCase": _five_case,
+    "Product": _product,
+    "BlockSet": _block_set,
+}
 
 REASONS = (
     "ShapeInfeasible",
@@ -52,12 +132,12 @@ class Decision:
             raise ValueError("unknown decisions carry neither route nor reason")
 
 
-def _exists(route: str) -> Decision:
-    return Decision("exists", route=route)
-
-
-def _not_exists(reason: str) -> Decision:
-    return Decision("not-exists", reason=reason)
+# decide() returns these shared instances, which is safe since a Decision is
+# immutable: building one runs __post_init__, which costs about as much as
+# the rest of decide
+_EXISTS = {route: Decision("exists", route=route) for route in ROUTES}
+_NOT_EXISTS = {reason: Decision("not-exists", reason=reason) for reason in REASONS}
+_UNKNOWN = Decision("unknown")
 
 
 def necessary_conditions(m: int, n: int, r: int, s: int) -> List[str]:
@@ -83,58 +163,18 @@ def necessary_conditions(m: int, n: int, r: int, s: int) -> List[str]:
 
 
 def decide(m: int, n: int, r: int, s: int) -> Decision:
-    """Decide whether MR(m,n;r,s) exists.
-
-    Routes are checked in a fixed order so the verdict is reproducible:
-    Trivial, Classical, TwoPerColumn/Stacked, FiveCase, Product, BlockSet.
-    """
+    """Decide whether MR(m,n;r,s) exists: the first route in ROUTES that
+    covers a shape violating no necessary condition."""
     violated = necessary_conditions(m, n, r, s)
     if violated == ["ShapeInfeasible"]:
-        return _not_exists("ShapeInfeasible")
-
+        return _NOT_EXISTS["ShapeInfeasible"]
+    if not violated:
+        for route, params in ROUTES.items():
+            if params(m, n, r, s) is not None:
+                return _EXISTS[route]
     if r == n:
-        # full rectangle (the shape screen above forces s = m); the
-        # classical characterisation is complete, and its parity clause is
-        # the canonical diagnosis even where an integrality tag also fires
-        if (m, n) == (1, 1):
-            return _exists("Trivial")
-        if m % 2 != n % 2:
-            return _not_exists("ClassicalParity")
-        if violated:
-            return _not_exists(violated[0])
-        if m + n > 5 and m > 1 and n > 1:
-            return _exists("Classical")
-        return _not_exists("ClassicalParity")
-
-    if violated:
-        return _not_exists(violated[0])
-
-    if n % m == 0:
-        k = n // m  # k = 1 with s = 2 would be the screened 2x2 square case
-        if s == 2:
-            return _exists("TwoPerColumn")
-        if 3 <= s <= m and (s % 2 == 0 or (k * m) % 2 == 1):
-            return _exists("Stacked")
-
-    d = math.gcd(m, n)
-    a, b = m // d, n // d
-    assert s % a == 0  # m*r = n*s and gcd(a,b)=1 force a | s
-    sigma = s // a
-
-    # odd sigma makes r odd with m*r even: the integrality screen above
-    # has already answered
-    if (a, b) == (2, 3) and sigma % 2 == 0:
-        return _exists("FiveCase")
-
-    if a > 1 and b > 1 and a % 2 == 1 and b % 2 == 1 and a + b > 5:
-        if 3 <= sigma <= d and (sigma % 2 == 0 or d % 2 == 1):
-            return _exists("Product")
-
-    if s >= 2 and m % s == 0 and n % r == 0 and m // s == n // r:
-        c = m // s
-        all_odd = s % 2 == 1 and r % 2 == 1 and c % 2 == 1
-        both_even = s % 2 == 0 and r % 2 == 0 and (s, r) != (2, 2)
-        if s <= r and (all_odd or both_even):
-            return _exists("BlockSet")
-
-    return Decision("unknown")
+        # full rectangle (the shape screen forces s = m) that no route
+        # covers: its integrality tags all follow from a parity mismatch, so
+        # the classical parity clause is the canonical diagnosis
+        return _NOT_EXISTS["TwoTwoSquare" if "TwoTwoSquare" in violated else "ClassicalParity"]
+    return _NOT_EXISTS[violated[0]] if violated else _UNKNOWN

@@ -15,11 +15,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import existence
 from .errors import (
+    BadIngredient,
     CacheError,
     CorruptCache,
     NotConstructible,
     SearchBudgetExceeded,
+    ShapeError,
 )
 from .grid import (
     HoleyGrid,
@@ -108,6 +111,68 @@ def profile_satisfied(grid: HoleyGrid, profile: DiagonalProfile) -> bool:
         if not is_consecutive_cyclic(set(members), n):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# validators, shared by the constructors and the cache
+
+def require_magic(grid: HoleyGrid, spec: MagicSpec, what: str) -> None:
+    """Raise BadIngredient unless `grid` passes verify for `spec`."""
+    try:
+        report = verify(grid, spec)
+    except ShapeError as exc:
+        raise BadIngredient(f"{what}: {exc}") from exc
+    if not report.ok:
+        tags = " ".join(str(v) for v in report.failures[:4])
+        raise BadIngredient(f"{what} fails verification for {spec}: {tags}")
+
+
+def require_ms(square: HoleyGrid, m: int, s: int) -> frozenset:
+    """Validate an s-diagonal MS(m;s) ingredient; return its support."""
+    require_magic(square, MagicSpec(m, m, s, s), f"MS({m};{s}) ingredient")
+    support = diagonal_support(square)
+    if len(support) != s or not is_consecutive_cyclic(support, m):
+        raise BadIngredient(
+            f"MS({m};{s}) ingredient is not {s}-diagonal: support {sorted(support)}"
+        )
+    return support
+
+
+def _mrs_gate(a: int, b: int, c: int) -> None:
+    if min(a, b, c) < 1:
+        raise ValueError("a, b and c must be positive")
+    if not existence.mrs_exists(a, b, c):
+        raise NotConstructible(
+            f"no MRS({a},{b};{c}): need 1 < a <= b, and a,b,c all odd "
+            "or a,b both even and not (2,2)"
+        )
+
+
+def require_mrs(rects: Sequence[HoleyGrid], a: int, b: int, c: int) -> None:
+    """Validate a magic rectangle set: c full a x b rectangles jointly
+    holding 0..abc-1 with common row sum b(abc-1)/2 and column sum
+    a(abc-1)/2 (checked doubled to stay in integers).  Raises
+    NotConstructible when no MRS(a,b;c) exists."""
+    _mrs_gate(a, b, c)
+    if len(rects) != c:
+        raise BadIngredient(f"expected {c} rectangles, got {len(rects)}")
+    double_row = b * (a * b * c - 1)
+    double_col = a * (a * b * c - 1)
+    values = []
+    for idx, rect in enumerate(rects):
+        if (rect.rows, rect.cols) != (a, b):
+            raise BadIngredient(f"member {idx} is {rect.rows}x{rect.cols}, expected {a}x{b}")
+        for i, row in enumerate(rect.cells):
+            if any(v is None for v in row):
+                raise BadIngredient(f"member {idx} has holes")
+            if 2 * sum(row) != double_row:
+                raise BadIngredient(f"member {idx} row {i} breaks the row constant")
+        for j in range(b):
+            if 2 * sum(rect.cells[i][j] for i in range(a)) != double_col:
+                raise BadIngredient(f"member {idx} column {j} breaks the column constant")
+        values.extend(v for _, _, v in rect.filled())
+    if sorted(values) != list(range(a * b * c)):
+        raise BadIngredient(f"members do not partition 0..{a * b * c - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +358,21 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
                        *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
     """An s-diagonal MS(m;s), optionally matching a diagonal profile.
 
-    Exists iff m=s=1 or 3 <= s <= m with s even or m odd; anything else
-    raises NotConstructible.  Resolution: catalog, cache, then layered
-    search (all diagonals as value blocks, then all but two, then free).
+    Raises NotConstructible unless existence.ms_exists(m, s).  Resolution:
+    catalog, cache, then layered search (all diagonals as value blocks,
+    then all but two, then free).
     """
     if m < 1 or s < 1:
         raise ValueError("m and s must be positive")
-    if m == 1 and s == 1:
+    if not existence.ms_exists(m, s):
+        raise NotConstructible(
+            f"no MS({m};{s}): need m=s=1 or 3 <= s <= m with s even or m odd"
+        )
+    if m == 1:
         grid = HoleyGrid.from_rows([[0]])
         if profile is not None and not profile_satisfied(grid, profile):
             raise NotConstructible("MS(1;1) cannot satisfy the requested profile")
         return grid
-    if not (3 <= s <= m and (s % 2 == 0 or m % 2 == 1)):
-        raise NotConstructible(
-            f"no MS({m};{s}): need m=s=1 or 3 <= s <= m with s even or m odd"
-        )
 
     text = _CATALOG_MS.get((m, s))
     if text is not None:
@@ -397,16 +462,16 @@ def _rect_problem(rows, cols, grids=1):
 def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
     """Full a x b magic rectangle on 0..ab-1.
 
-    Exists iff a=b=1 or (a and b share parity, a+b > 5, both > 1).
+    Raises NotConstructible unless existence.mr_exists(a, b).
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
-    if a == 1 and b == 1:
-        return HoleyGrid.from_rows([[0]])
-    if not (a % 2 == b % 2 and a + b > 5 and a > 1 and b > 1):
+    if not existence.mr_exists(a, b):
         raise NotConstructible(
             f"no MR({a},{b}): need a = b (mod 2), a+b > 5 and a,b > 1"
         )
+    if a == 1:
+        return HoleyGrid.from_rows([[0]])
 
     store = _as_cache(cache)
     if store is not None:
@@ -440,19 +505,9 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     """c full a x b rectangles jointly holding 0..abc-1 with shared row sum
     b(abc-1)/2 and column sum a(abc-1)/2.
 
-    Exists iff 1 < a <= b and (a, b, c all odd, or a, b both even with
-    (a,b) != (2,2)).
+    Raises NotConstructible unless existence.mrs_exists(a, b, c).
     """
-    if min(a, b, c) < 1:
-        raise ValueError("a, b and c must be positive")
-    if not 1 < a <= b:
-        raise NotConstructible(f"no MRS({a},{b};{c}): need 1 < a <= b")
-    all_odd = a % 2 == 1 and b % 2 == 1 and c % 2 == 1
-    both_even = a % 2 == 0 and b % 2 == 0 and (a, b) != (2, 2)
-    if not (all_odd or both_even):
-        raise NotConstructible(
-            f"no MRS({a},{b};{c}): need a,b,c all odd, or a,b both even and not (2,2)"
-        )
+    _mrs_gate(a, b, c)
 
     store = _as_cache(cache)
     if store is not None:
@@ -491,44 +546,24 @@ def _blocks_for(kind: str, params: Sequence[int]) -> int:
 
 
 def _validate_entry(kind, params, profile, grids):
-    """Re-verify a cache entry; any failure means the file was tampered."""
+    """Re-verify a cache entry with the constructors' validators; any
+    failure means the file was tampered."""
     try:
         if kind == "ms":
-            m, s = params
-            if len(grids) != 1 or not verify(grids[0], MagicSpec(m, m, s, s)).ok:
-                raise CorruptCache(f"cached ms {params} fails verification")
-            support = diagonal_support(grids[0])
-            if len(support) != s or not is_consecutive_cyclic(support, m):
-                raise CorruptCache(f"cached ms {params} is not {s}-diagonal")
-            if profile is not None and not profile_satisfied(grids[0], profile):
-                raise CorruptCache(f"cached ms {params} violates profile {profile.tag()}")
+            (grid,) = grids
+            require_ms(grid, *params)
+            if profile is not None and not profile_satisfied(grid, profile):
+                raise BadIngredient(f"violates profile {profile.tag()}")
         elif kind == "mr":
-            va, vb = params
-            if len(grids) != 1 or not verify(grids[0], MagicSpec(va, vb, vb, va)).ok:
-                raise CorruptCache(f"cached mr {params} fails verification")
+            (grid,) = grids
+            a, b = params
+            require_magic(grid, MagicSpec(a, b, b, a), f"MR({a},{b}) ingredient")
         elif kind == "mrs":
-            va, vb, vc = params
-            if len(grids) != vc:
-                raise CorruptCache(f"cached mrs {params} has {len(grids)} blocks")
-            values = []
-            for rect in grids:
-                if (rect.rows, rect.cols) != (va, vb):
-                    raise CorruptCache(f"cached mrs {params} member has wrong shape")
-                for row in rect.cells:
-                    if any(v is None for v in row) or 2 * sum(row) != vb * (va * vb * vc - 1):
-                        raise CorruptCache(f"cached mrs {params} breaks a row constant")
-                for j in range(vb):
-                    if 2 * sum(rect.cells[i][j] for i in range(va)) != va * (va * vb * vc - 1):
-                        raise CorruptCache(f"cached mrs {params} breaks a column constant")
-                values.extend(v for _, _, v in rect.filled())
-            if sorted(values) != list(range(va * vb * vc)):
-                raise CorruptCache(f"cached mrs {params} does not partition the value range")
+            require_mrs(grids, *params)
         else:
-            raise CorruptCache(f"unknown cache kind {kind!r}")
-    except CorruptCache:
-        raise
+            raise BadIngredient(f"unknown cache kind {kind!r}")
     except Exception as exc:
-        raise CorruptCache(f"cached {kind} {params} is malformed: {exc}") from exc
+        raise CorruptCache(f"cached {kind} {params} is invalid: {exc}") from exc
 
 
 class IngredientCache:

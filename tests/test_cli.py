@@ -5,7 +5,8 @@ import pathlib
 import subprocess
 import sys
 
-from holeymagic import MagicSpec, oracle, parse, verify
+from holeymagic import MagicSpec, construct, existence, ingredients, oracle, parse, realize
+from holeymagic import serialize, verify
 from holeymagic.cli import dispatch
 
 import golden
@@ -59,6 +60,45 @@ def test_construct_failure_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_construct_matches_realize(capsys):
+    # one shape per decide route that has a construct subcommand
+    for argv, shape in [
+        (["two-per-column", "--m", "5", "--k", "2"], (5, 10, 4, 2)),
+        (["stacked", "--m", "5", "--k", "5", "--s", "3"], (5, 25, 15, 3)),
+        (["product", "--m", "5", "--s", "3", "--a", "3", "--b", "5"], (15, 25, 15, 9)),
+        (["five-case", "--m", "3", "--s", "2"], (6, 9, 6, 4)),
+    ]:
+        assert run(capsys, "construct", *argv) == (0, serialize(realize(*shape)), "")
+    # (4,8,4,2) takes TwoPerColumn first, and no shape that decide routes to
+    # BlockSet has an MRS found in test time: check that the route table
+    # turns the shape into the subcommand's params instead
+    assert existence.ROUTES["BlockSet"](4, 8, 4, 2) == (2, 4, 2)
+    code, out, _ = run(capsys, "construct", "block-set", "--a", "2", "--b", "4", "--c", "2")
+    assert (code, out) == (0, serialize(construct.BUILDS["BlockSet"](2, 4, 2)))
+    assert list(construct.BUILDS) == list(existence.ROUTES)
+
+
+def test_construct_gate_failures(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the five-case gate must fail before any search")
+
+    monkeypatch.setattr(ingredients, "magic_square_holes", no_search)
+    for argv, want in [
+        (["five-case", "--m", "0", "--s", "2"], 2),
+        (["five-case", "--m", "3", "--s", "3"], 1),
+        (["five-case", "--m", "1", "--s", "2"], 1),
+    ]:
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out) == (want, "")
+        assert err.startswith("error:")
+    monkeypatch.undo()
+    for argv in [["stacked", "--m", "3", "--k", "2", "--s", "1"],
+                 ["block-set", "--a", "2", "--b", "2", "--c", "1"]]:
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_construct_pipes_into_verify(capsys, monkeypatch):

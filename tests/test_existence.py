@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from holeymagic import Decision, decide, necessary_conditions
@@ -95,3 +97,21 @@ def test_every_reason_is_reachable():
 def test_decide_is_pure():
     assert decide(9, 15, 10, 6) == decide(9, 15, 10, 6)
     assert decide(6, 9, 6, 4) == decide(6, 9, 6, 4)
+
+
+# sha256 of one "m n r s verdict route reason tags" line per shape, over
+# every (m,n,r,s) in 1..20, frozen before decide became table-driven: any
+# moved verdict, route or reason changes it.
+DIGEST_1_20 = "495dd36d9b1ac5c3582fd8dcff105de0357a302e331d9e8f18705c312c1ee96c"
+
+
+def test_verdicts_pinned():
+    h = hashlib.sha256()
+    for m in range(1, 21):
+        for n in range(1, 21):
+            for r in range(1, 21):
+                for s in range(1, 21):
+                    d = decide(m, n, r, s)
+                    tags = ",".join(necessary_conditions(m, n, r, s))
+                    h.update(f"{m} {n} {r} {s} {d.verdict} {d.route} {d.reason} {tags}\n".encode())
+    assert h.hexdigest() == DIGEST_1_20
