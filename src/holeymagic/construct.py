@@ -14,9 +14,15 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import existence, ingredients
 from .errors import BadIngredient, NotConstructible
-from .grid import HoleyGrid, MagicSpec, cyclic_run_start, is_consecutive_cyclic
-from .ingredients import DiagonalProfile, require_magic, require_ms, require_mrs
-from .kotzig import kotzig
+from .grid import HoleyGrid, MagicSpec, beside, cyclic_run_start, is_consecutive_cyclic
+from .ingredients import (
+    DiagonalProfile,
+    require_magic,
+    require_ms,
+    require_mrs,
+    two_per_column,
+)
+from .kotzig import kotzig, lift
 
 
 @dataclass(frozen=True)
@@ -36,65 +42,12 @@ def _canonical_labels(support: frozenset, m: int) -> List[int]:
     return [(start + s - 1 - i) % m for i in range(s)]
 
 
-def two_per_column(m: int, k: int) -> HoleyGrid:
-    """MR(m, km; 2k, 2): k subsquares, two filled diagonals each.
-
-    The k even and k odd cases fill the subsquare diagonals with different
-    value ranges; row indices wrap modulo m.
-    """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
-    if k == 1:
-        raise NotConstructible(f"MR({m},{m};2,2) does not exist for any m")
-    if m == 1:
-        raise NotConstructible("need m >= 2 to fit two filled cells per column")
-
-    n = k * m
-    cells: List[List] = [[None] * n for _ in range(m)]
-
-    def put(i: int, col: int, v: int) -> None:
-        cells[i % m][col] = v
-
-    for l in range(k):
-        for i in range(m):
-            col = l * m + i
-            if k % 2 == 0:
-                descending = l % 2 == 1
-            elif l == k - 1:
-                # final subsquare interleaves the two middle value blocks
-                put(i, col, (k + 1) * m - 2 * i - 1)
-                put(i + 1, col, (k - 1) * m + 2 * i)
-                continue
-            else:
-                descending = l > (k - 1) // 2
-            if descending:
-                put(i, col, (l + 1) * m - i - 1)
-                put(i + 1, col, (2 * k - l - 1) * m + i)
-            else:
-                put(i, col, l * m + i)
-                put(i + 1, col, (2 * k - l) * m - i - 1)
-    return HoleyGrid.from_rows(cells)
-
-
 def _stacked_squares(m: int, k: int, s: int, square: HoleyGrid) -> List[HoleyGrid]:
-    """The k subsquares of the stacked construction, built by routing
-    shifted copies of the ingredient's diagonals through a Kotzig array."""
+    """The k subsquares of the stacked construction: copies of the
+    ingredient lifted through a Kotzig array, its diagonals as classes."""
     support = require_ms(square, m, s)
-    labels = _canonical_labels(support, m)
-    routing = kotzig(s, k).entries
-    # diagonals[i][p]: the ingredient's entry in row p of diagonal label i,
-    # complete since require_ms accepted exactly s diagonals
-    diagonals = [[square.cells[p][(p + d) % m] for p in range(m)] for d in labels]
-
-    squares = []
-    for j in range(k):
-        cells: List[List] = [[None] * m for _ in range(m)]
-        for i, d in enumerate(labels):
-            shift = routing[i][j] * m * s  # label i comes from copy routing[i][j]
-            for p in range(m):
-                cells[p][(p + d) % m] = diagonals[i][p] + shift
-        squares.append(HoleyGrid.from_rows(cells))
-    return squares
+    label_of = {d: i for i, d in enumerate(_canonical_labels(support, m))}
+    return lift(square, lambda i, j: label_of[(j - i) % m], kotzig(s, k))
 
 
 def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
@@ -112,14 +65,7 @@ def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
         require_ms(square, m, s)
         return square
 
-    squares = _stacked_squares(m, k, s, square)
-    rows = []
-    for p in range(m):
-        row: List = []
-        for t in squares:
-            row.extend(t.cells[p])
-        rows.append(row)
-    return HoleyGrid.from_rows(rows)
+    return beside(_stacked_squares(m, k, s, square))
 
 
 def nmss(m: int, s: int, t: int, square: HoleyGrid) -> NmssResult:

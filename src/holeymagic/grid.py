@@ -202,6 +202,16 @@ def cyclic_run_start(diagonals, modulus: int) -> int:
     return next(d for d in diagonals if (d - 1) % modulus not in diagonals)
 
 
+def above(grids) -> HoleyGrid:
+    """Grids of one width stacked top to bottom."""
+    return HoleyGrid.from_rows(row for g in grids for row in g.cells)
+
+
+def beside(grids) -> HoleyGrid:
+    """Grids of one height set side by side, left to right."""
+    return HoleyGrid.from_rows(sum(rows, ()) for rows in zip(*(g.cells for g in grids)))
+
+
 def serialize(grid: HoleyGrid) -> str:
     """Render the grid in MRX text form (see parse for the grammar)."""
     lines = [f"{grid.rows} {grid.cols}"]

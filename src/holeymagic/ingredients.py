@@ -1,14 +1,20 @@
 """Ingredient grids for the constructions: holey magic squares MS(m;s),
 classical full magic rectangles and magic rectangle sets MRS(a,b;c).
 
-Resolution order is always catalog, then cache, then deterministic
-backtracking search.  Search failure by exhaustion raises NotConstructible;
-running out of node budget raises SearchBudgetExceeded, which is
-inconclusive and never a nonexistence claim.
+Resolution order is always catalog, then cache, then closed form, then
+deterministic backtracking search; whatever is built is stored when a
+cache is given.  Closed forms lift a small base through Kotzig arrays
+(kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3, the
+full squares MS(m;m), and MRS(a,b;c) with even sides.  Odd coprime
+rectangles, odd rectangle sets, thin squares (s < m) and profiled squares
+the closed form misses are searched.  Search failure by exhaustion raises
+NotConstructible; running out of node budget raises SearchBudgetExceeded,
+which is inconclusive and never a nonexistence claim.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from bisect import bisect_right
@@ -26,6 +32,8 @@ from .errors import (
 )
 from .grid import (
     HoleyGrid,
+    above,
+    beside,
     MagicSpec,
     diagonal_support,
     is_consecutive_cyclic,
@@ -33,6 +41,7 @@ from .grid import (
     serialize,
     verify,
 )
+from .kotzig import kotzig, lift
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -173,6 +182,77 @@ def require_mrs(rects: Sequence[HoleyGrid], a: int, b: int, c: int) -> None:
         values.extend(v for _, _, v in rect.filled())
     if sorted(values) != list(range(a * b * c)):
         raise BadIngredient(f"members do not partition 0..{a * b * c - 1}")
+
+
+# ---------------------------------------------------------------------------
+# closed forms: full rectangles and squares lifted from a small base
+
+def two_per_column(m: int, k: int) -> HoleyGrid:
+    """MR(m, km; 2k, 2): k subsquares, two filled diagonals each.  At m = 2
+    it is the full MR(2, 2k) that the even closed forms lift.
+
+    The k even and k odd cases fill the subsquare diagonals with different
+    value ranges; row indices wrap modulo m.
+    """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive")
+    if k == 1:
+        raise NotConstructible(f"MR({m},{m};2,2) does not exist for any m")
+    if m == 1:
+        raise NotConstructible("need m >= 2 to fit two filled cells per column")
+
+    n = k * m
+    cells: List[List] = [[None] * n for _ in range(m)]
+
+    def put(i: int, col: int, v: int) -> None:
+        cells[i % m][col] = v
+
+    for l in range(k):
+        for i in range(m):
+            col = l * m + i
+            if k % 2 == 0:
+                descending = l % 2 == 1
+            elif l == k - 1:
+                # final subsquare interleaves the two middle value blocks
+                put(i, col, (k + 1) * m - 2 * i - 1)
+                put(i + 1, col, (k - 1) * m + 2 * i)
+                continue
+            else:
+                descending = l > (k - 1) // 2
+            if descending:
+                put(i, col, (l + 1) * m - i - 1)
+                put(i + 1, col, (2 * k - l - 1) * m + i)
+            else:
+                put(i, col, l * m + i)
+                put(i + 1, col, (2 * k - l) * m - i - 1)
+    return HoleyGrid.from_rows(cells)
+
+
+def _siamese(g: int) -> HoleyGrid:
+    """De la Loubere's Siamese square of odd order g on 0..g^2-1."""
+    return HoleyGrid.from_rows(
+        [g * ((i + j + 1 + g // 2) % g) + (i + 2 * j + 1) % g for j in range(g)]
+        for i in range(g))
+
+
+def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
+    """Full MR(a,b) on 0..ab-1 for a pair mr_exists allows with a, b > 1,
+    or None when both sides are odd and coprime.
+
+    Even sides stack a/2 copies of MR(2,b) (its columns as classes; b = 2
+    transposes MR(2,a)).  Odd sides with g = gcd(a,b) >= 3 stack a/g
+    copies of the Siamese MR(g,g), then set b/g copies of that MR(a,g)
+    side by side (its rows as classes).
+    """
+    if a % 2 == 0:
+        if b == 2:
+            return HoleyGrid.from_rows(zip(*_closed_rectangle(2, a).cells))
+        return above(lift(two_per_column(2, b // 2), lambda i, j: j, kotzig(b, a // 2)))
+    g = math.gcd(a, b)
+    if g == 1:
+        return None
+    tall = above(lift(_siamese(g), lambda i, j: j, kotzig(g, a // g)))
+    return beside(lift(tall, lambda i, j: i, kotzig(a, b // g)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +439,9 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
     """An s-diagonal MS(m;s), optionally matching a diagonal profile.
 
     Raises NotConstructible unless existence.ms_exists(m, s).  Resolution:
-    catalog, cache, then layered search (all diagonals as value blocks,
-    then all but two, then free).
+    catalog, cache, the closed-form full square when s = m and it meets
+    the profile, then search: anchored on the profile's runs, or layered
+    (all diagonals as value blocks, then all but two, then free).
     """
     if m < 1 or s < 1:
         raise ValueError("m and s must be positive")
@@ -386,6 +467,17 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         if hit is not None:
             return hit[0]
 
+    grid = _closed_rectangle(m, m) if s == m else None
+    if grid is None or (profile is not None and not profile_satisfied(grid, profile)):
+        grid = _search_square(m, s, profile, budget)
+    if store is not None:
+        store.store("ms", (m, s), [grid], profile)
+    return grid
+
+
+def _search_square(m, s, profile, budget):
+    """Search MS(m;s) anchored on the profile's runs, or layered when there
+    is no profile."""
     label = f"MS({m};{s})" + (f" profile {profile.tag()}" if profile is not None else "")
     b = _Budget(budget, label)
     if profile is not None:
@@ -395,19 +487,15 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
                 f"no MS({m};{s}) with diagonal profile {profile.tag()} "
                 "(anchored block search exhausted)"
             )
-    else:
-        grid = None
-        if s < m:
-            grid = _ms_anchored(m, s, ((s, 0, m * s - 1),), b)
-            if grid is None and s >= 3:
-                grid = _ms_anchored(m, s, ((s - 2, 0, m * (s - 2) - 1),), b)
-        if grid is None:
-            grid = _ms_anchored(m, s, (), b)
-        if grid is None:
-            raise NotConstructible(f"search exhausted without finding MS({m};{s})")
-
-    if store is not None:
-        store.store("ms", (m, s), [grid], profile)
+        return grid
+    # s < m here: the full square has a closed form
+    grid = _ms_anchored(m, s, ((s, 0, m * s - 1),), b)
+    if grid is None:
+        grid = _ms_anchored(m, s, ((s - 2, 0, m * (s - 2) - 1),), b)
+    if grid is None:
+        grid = _ms_anchored(m, s, (), b)
+    if grid is None:
+        raise NotConstructible(f"search exhausted without finding MS({m};{s})")
     return grid
 
 
@@ -459,10 +547,28 @@ def _rect_problem(rows, cols, grids=1):
     return cells, lines, precedes
 
 
+def _search_rectangles(a: int, b: int, c: int, budget: int, label: str) -> List[HoleyGrid]:
+    """Search c full a x b rectangles jointly holding 0..abc-1 with shared
+    line sums, in the short orientation (transposed back when a > b)."""
+    rows, cols = min(a, b), max(a, b)
+    cells, lines, precedes = _rect_problem(rows, cols, grids=c)
+    got = _search_assignment([0] * len(cells), lines, [tuple(range(rows * cols * c))],
+                             _Budget(budget, label), precedes)
+    if got is None:
+        raise NotConstructible(f"search exhausted without finding {label}")
+    grids = [[[None] * cols for _ in range(rows)] for _ in range(c)]
+    for (g, i, j), v in zip(cells, got):
+        grids[g][i][j] = v
+    if a > b:
+        grids = [list(zip(*grid)) for grid in grids]
+    return [HoleyGrid.from_rows(grid) for grid in grids]
+
+
 def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
     """Full a x b magic rectangle on 0..ab-1.
 
-    Raises NotConstructible unless existence.mr_exists(a, b).
+    Raises NotConstructible unless existence.mr_exists(a, b).  Resolution:
+    cache, the closed form, then search (odd coprime sides only).
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
@@ -479,19 +585,9 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
         if hit is not None:
             return hit[0]
 
-    # search the short orientation; transpose back afterwards if needed
-    rows, cols = min(a, b), max(a, b)
-    cells, lines, precedes = _rect_problem(rows, cols)
-    got = _search_assignment([0] * len(cells), lines, [tuple(range(rows * cols))],
-                             _Budget(budget, f"MR({a},{b})"), precedes)
-    if got is None:
-        raise NotConstructible(f"search exhausted without finding MR({a},{b})")
-    grid = [[None] * cols for _ in range(rows)]
-    for (g, i, j), v in zip(cells, got):
-        grid[i][j] = v
-    if a > b:
-        grid = [[grid[i][j] for i in range(rows)] for j in range(cols)]
-    result = HoleyGrid.from_rows(grid)
+    result = _closed_rectangle(a, b)
+    if result is None:
+        (result,) = _search_rectangles(a, b, 1, budget, f"MR({a},{b})")
     if store is not None:
         store.store("mr", (a, b), [result])
     return result
@@ -506,6 +602,9 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     b(abc-1)/2 and column sum a(abc-1)/2.
 
     Raises NotConstructible unless existence.mrs_exists(a, b, c).
+    Resolution: cache, then for even sides c copies of the closed-form
+    MR(a,b) lifted through kotzig(2, c) with checkerboard classes, and for
+    odd sides search.
     """
     _mrs_gate(a, b, c)
 
@@ -515,19 +614,10 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
         if hit is not None:
             return hit
 
-    total = a * b * c
-    cells, lines, precedes = _rect_problem(a, b, grids=c)
-    got = _search_assignment([0] * len(cells), lines, [tuple(range(total))],
-                             _Budget(budget, f"MRS({a},{b};{c})"), precedes)
-    if got is None:
-        raise NotConstructible(f"search exhausted without finding MRS({a},{b};{c})")
-    grids = []
-    for g in range(c):
-        rows = [[None] * b for _ in range(a)]
-        grids.append(rows)
-    for (g, i, j), v in zip(cells, got):
-        grids[g][i][j] = v
-    result = [HoleyGrid.from_rows(rows) for rows in grids]
+    if a % 2 == 0:
+        result = lift(_closed_rectangle(a, b), lambda i, j: (i + j) % 2, kotzig(2, c))
+    else:
+        result = _search_rectangles(a, b, c, budget, f"MRS({a},{b};{c})")
     if store is not None:
         store.store("mrs", (a, b, c), result)
     return result
@@ -567,15 +657,19 @@ def _validate_entry(kind, params, profile, grids):
 
 
 class IngredientCache:
-    """Human-inspectable file of searched ingredients.
+    """Human-inspectable file of built ingredients.
 
     Records are a KEY line ("KEY <kind> <params...> <profile-tag>") followed
     by the entry's MRX blocks.  Stores rewrite the whole file atomically, so
-    readers never observe torn writes.
+    readers never observe torn writes.  An instance keeps the text it last
+    parsed or wrote with the entries parsed from it, and parses the file
+    again only when its text differs.
     """
 
     def __init__(self, path):
         self.path = str(path)
+        self._text: Optional[str] = None
+        self._entries: Dict[str, List[str]] = {}
 
     def load(self, kind, params, profile=None):
         """Grids for the key, or None on a miss.  Entries re-verify on load;
@@ -592,8 +686,14 @@ class IngredientCache:
         return grids
 
     def store(self, kind, params, grids, profile=None):
+        """Add or replace the key's entry; a no-op when the file already
+        holds the same texts under the key."""
+        key = _cache_key(kind, params, profile)
+        texts = [serialize(g) for g in grids]
         entries = self._read()
-        entries[_cache_key(kind, params, profile)] = [serialize(g) for g in grids]
+        if entries.get(key) == texts:
+            return
+        entries = {**entries, key: texts}
         lines = []
         for key, texts in entries.items():
             lines.append(f"KEY {key}\n")
@@ -612,8 +712,10 @@ class IngredientCache:
                 raise
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
+        self._text, self._entries = payload, entries
 
     def _read(self) -> Dict[str, List[str]]:
+        """The file's entries; callers must not mutate the result."""
         try:
             with open(self.path, "r") as fh:
                 raw = fh.read()
@@ -623,6 +725,14 @@ class IngredientCache:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CorruptCache(f"{self.path}: undecodable bytes: {exc}") from exc
+        # content, not stat: an edit at the same size within one timestamp
+        # tick must still be seen
+        if raw != self._text:
+            self._entries = self._parse(raw)
+            self._text = raw
+        return self._entries
+
+    def _parse(self, raw: str) -> Dict[str, List[str]]:
         entries: Dict[str, List[str]] = {}
         lines = raw.splitlines(keepends=True)
         pos = 0

@@ -4,15 +4,17 @@ whose columns all sum to (k-1)s/2.
 They exist exactly when s is even or k is odd (with the one-column case
 degenerate), and the constructions here are the canonical ones: an
 identity/reversal pair of rows, a three-row block for odd k, and vertical
-stacking of those blocks.
+stacking of those blocks.  lift() routes shifted copies of a magic grid
+through one; every construction that multiplies a grid goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, List, Tuple
 
 from .errors import ParityError
+from .grid import HoleyGrid
 
 
 @dataclass(frozen=True)
@@ -71,3 +73,28 @@ def kotzig(s: int, k: int) -> KotzigArray:
     while len(rows) < s:
         rows.extend(pair)
     return KotzigArray(s, k, tuple(rows))
+
+
+def lift(base: HoleyGrid, class_of: Callable[[int, int], int],
+         K: KotzigArray) -> List[HoleyGrid]:
+    """The K.k copies of a base holding 0..N-1 in its N filled cells: copy
+    t adds N * K[class_of(i, j)][t] to the value in cell (i, j).
+
+    Every row of K permutes 0..k-1, so the copies jointly hold 0..kN-1 once
+    each.  Every column of K has the same sum, so when each class meets
+    every row (column) of the base equally often, all copies' rows
+    (columns) gain the same amount.  Copies stacked above one another only
+    need that for rows: a column of the stack gains N times a row sum of K,
+    (k-1)k/2, for each of its base cells, whatever their classes; side by
+    side, the same holds with rows and columns swapped.
+    """
+    n = sum(1 for _ in base.filled())
+    classes = [[None if v is None else class_of(i, j) for j, v in enumerate(row)]
+               for i, row in enumerate(base.cells)]
+    copies = []
+    for column in zip(*K.entries):  # K[class][t] for every class, copy t
+        shift = [n * x for x in column]
+        copies.append(HoleyGrid.from_rows(
+            [None if v is None else v + shift[c] for v, c in zip(row, crow)]
+            for row, crow in zip(base.cells, classes)))
+    return copies

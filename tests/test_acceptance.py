@@ -244,9 +244,13 @@ def test_criterion_8_constructive_honesty(tmp_path):
     # constructive routes never search, so they must never skip
     assert skipped.get("Trivial", 0) == 0
     assert skipped.get("TwoPerColumn", 0) == 0
-    for route in ["Trivial", "Classical", "TwoPerColumn", "Stacked", "FiveCase"]:
+    for route in ["Trivial", "Classical", "TwoPerColumn", "Stacked", "FiveCase", "BlockSet"]:
         assert reached.get(route, 0) >= 1, f"no {route} case reached"
-    assert sum(reached.values()) >= 350
+    # even and odd g >= 3 rectangles and even rectangle sets are closed
+    # forms; what the budget still misses is searched
+    assert sum(reached.values()) >= 560
+    assert reached["BlockSet"] >= 16
+    assert skipped.get("Classical", 0) <= 100
     print(f"criterion 8 (constructive honesty, mr<=200): PASS "
           f"(reached {sum(reached.values())} {reached}, "
           f"skipped {sum(skipped.values())} {skipped}, {elapsed:.1f}s)")

@@ -69,14 +69,11 @@ def test_construct_matches_realize(capsys):
         (["stacked", "--m", "5", "--k", "5", "--s", "3"], (5, 25, 15, 3)),
         (["product", "--m", "5", "--s", "3", "--a", "3", "--b", "5"], (15, 25, 15, 9)),
         (["five-case", "--m", "3", "--s", "2"], (6, 9, 6, 4)),
+        # the smallest shape decide routes to BlockSet with even sides
+        (["block-set", "--a", "4", "--b", "10", "--c", "2"], (8, 20, 10, 4)),
     ]:
         assert run(capsys, "construct", *argv) == (0, serialize(realize(*shape)), "")
-    # (4,8,4,2) takes TwoPerColumn first, and no shape that decide routes to
-    # BlockSet has an MRS found in test time: check that the route table
-    # turns the shape into the subcommand's params instead
-    assert existence.ROUTES["BlockSet"](4, 8, 4, 2) == (2, 4, 2)
-    code, out, _ = run(capsys, "construct", "block-set", "--a", "2", "--b", "4", "--c", "2")
-    assert (code, out) == (0, serialize(construct.BUILDS["BlockSet"](2, 4, 2)))
+    assert existence.decide(8, 20, 10, 4).route == "BlockSet"
     assert list(construct.BUILDS) == list(existence.ROUTES)
 
 

@@ -1,3 +1,5 @@
+import math
+import os
 import pickle
 import sys
 
@@ -19,9 +21,12 @@ from holeymagic import (
     verify,
 )
 from holeymagic.ingredients import (
+    _search_rectangles,
     classical_rectangle,
     magic_rectangle_set,
     magic_square_holes,
+    require_mrs,
+    require_ms,
 )
 
 import golden
@@ -173,6 +178,36 @@ def test_mrs_even_pair():
             assert 2 * (rect.cells[0][j] + rect.cells[1][j]) == 2 * 15
 
 
+# --- closed forms -----------------------------------------------------------
+# A budget of one node fails any search, so these calls prove that no
+# search ran.
+
+
+def test_closed_form_rectangles():
+    built = 0
+    for a in range(2, 301):
+        for b in range(2, 600 // a + 1):
+            if (a + b) % 2 or a + b <= 5 or (a % 2 and math.gcd(a, b) == 1):
+                continue
+            g = classical_rectangle(a, b, budget=1)
+            assert verify(g, MagicSpec(a, b, b, a)).ok, (a, b)
+            assert support.naive_check(g, a, b, b, a), (a, b)
+            built += 1
+    assert built > 400
+
+
+def test_closed_form_even_rectangle_sets():
+    for a in range(2, 31, 2):
+        for b in range(max(a, 4), 31, 2):
+            for c in range(1, 6):
+                require_mrs(magic_rectangle_set(a, b, c, budget=1), a, b, c)
+
+
+def test_closed_form_full_squares():
+    for m in range(3, 41):
+        require_ms(magic_square_holes(m, m, budget=1), m, m)
+
+
 # --- ingredient cache -------------------------------------------------------
 
 
@@ -248,6 +283,51 @@ def test_cached_mrs_roundtrip(tmp_path):
     assert cache.load("mrs", (2, 4, 2)) == rects
 
 
+def test_closed_forms_are_cached(tmp_path):
+    path = tmp_path / "ing.mrx"
+    rect = classical_rectangle(9, 15, cache=path, budget=1)
+    square = magic_square_holes(6, 6, cache=path, budget=1)
+    rects = magic_rectangle_set(4, 6, 3, cache=path, budget=1)
+    fresh = IngredientCache(path)
+    assert fresh.load("mr", (9, 15)) == [rect]
+    assert fresh.load("ms", (6, 6)) == [square]
+    assert fresh.load("mrs", (4, 6, 3)) == rects
+
+
+def test_cache_sees_same_size_tampering_after_store(tmp_path):
+    path = tmp_path / "ing.mrx"
+    cache = IngredientCache(path)
+    cache.store("ms", (5, 3), [parse(golden.SQUARE_5_3)])
+    assert cache.load("ms", (5, 3)) is not None
+    before = os.stat(path)
+    text = path.read_bytes()
+    at = text.index(b". . 2 10 9\n") + len(b". . ")
+    with open(path, "r+b") as fh:  # same length, same inode, same mtime
+        fh.seek(at)
+        fh.write(b"4")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino)
+    with pytest.raises(CorruptCache):
+        cache.load("ms", (5, 3))
+
+
+def test_identical_store_leaves_file_alone(tmp_path):
+    path = tmp_path / "ing.mrx"
+    square = parse(golden.SQUARE_5_3)
+    IngredientCache(path).store("ms", (5, 3), [square])
+    IngredientCache(path).store("mr", (3, 5), [classical_rectangle(3, 5)])
+    before, text = os.stat(path), path.read_bytes()
+    for cache in (IngredientCache(path), IngredientCache(path)):
+        cache.load("mr", (3, 5))
+        cache.store("ms", (5, 3), [square])
+        cache.store("ms", (5, 3), [square])
+    after = os.stat(path)
+    assert path.read_bytes() == text
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
 # --- search kernel invariants -----------------------------------------------
 
 # Outputs of the backtracking search on pinned problems, frozen before the
@@ -292,7 +372,9 @@ SEARCHED_MS_8_4_PROFILE = """\
 PINNED_SEARCHES = [
     # (search at a node budget, least budget that succeeds, frozen output,
     # ingredient named when the budget runs out)
-    (lambda budget: [classical_rectangle(4, 6, budget=budget)], 7_836, SEARCHED_MR_4_6,
+    # MR(4,6) has a closed form, so its pin calls the rectangle search that
+    # odd coprime sides still use
+    (lambda budget: _search_rectangles(4, 6, 1, budget, "MR(4,6)"), 7_836, SEARCHED_MR_4_6,
      "MR(4,6)"),
     (lambda budget: magic_rectangle_set(3, 3, 3, budget=budget), 28_801, SEARCHED_MRS_3_3_3,
      "MRS(3,3;3)"),
@@ -318,6 +400,6 @@ def test_deep_search_does_not_recurse():
     # the search first passes depth 1000 (of 1400 cells) after about 355k
     # nodes and succeeds after 375 103; a recursive kernel dies on the way
     limit = sys.getrecursionlimit()
-    grid = classical_rectangle(2, 700, budget=400_000)
+    (grid,) = _search_rectangles(2, 700, 1, 400_000, "MR(2,700)")
     assert verify(grid, MagicSpec(2, 700, 700, 2)).ok
     assert sys.getrecursionlimit() == limit
