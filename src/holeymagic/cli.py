@@ -61,8 +61,7 @@ def _run_route(route: str, *flags: str):
 
 
 def _run_nmss(args) -> int:
-    square = ingredients.magic_square_holes(args.m, args.s, cache=_cache_of(args))
-    result = construct.nmss(args.m, args.s, args.t, square)
+    result = construct._build_nmss(args.m, args.s, args.t, cache=_cache_of(args))
     for sq in result.squares:
         sys.stdout.write(serialize(sq))
     return 0

@@ -53,14 +53,9 @@ def _stacked_squares(m: int, k: int, s: int, square: HoleyGrid) -> List[HoleyGri
 def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
     """MR(m, km; ks, s) from an s-diagonal MS(m;s) ingredient; s = 2 is
     two_per_column and takes no square."""
-    if min(m, k, s) < 1:
-        raise ValueError("m, k and s must be positive")
+    _stacked_gate(m, k, s)
     if s == 2:
         return two_per_column(m, k)
-    if not existence.nmss_exists(m, s, k):
-        raise NotConstructible(
-            f"no MR({m},{k * m};{k * s},{s}): need 2 <= s <= m and s even or km odd"
-        )
     if k == 1:
         require_ms(square, m, s)
         return square
@@ -71,12 +66,7 @@ def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
 def nmss(m: int, s: int, t: int, square: HoleyGrid) -> NmssResult:
     """Nonconsecutive magic square set: the t subsquares of the stacked
     construction kept separate, sharing the constant s(mst-1)/2."""
-    if min(m, s, t) < 1:
-        raise ValueError("m, s and t must be positive")
-    if not existence.nmss_exists(m, s, t):
-        raise NotConstructible(
-            f"no NMSS({m},{s};{t}): need 3 <= s <= m and s even or mt odd"
-        )
+    _nmss_gate(m, s, t)
     squares = tuple(_stacked_squares(m, t, s, square))
     constant = s * (m * s * t - 1) // 2
     return NmssResult(squares, constant)
@@ -212,6 +202,27 @@ def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
     return HoleyGrid.from_rows(cells)
 
 
+# The builds below run every gate before fetching any ingredient, so a
+# refused shape never starts a search.
+
+def _stacked_gate(m: int, k: int, s: int) -> None:
+    if min(m, k, s) < 1:
+        raise ValueError("m, k and s must be positive")
+    if s != 2 and not existence.nmss_exists(m, s, k):
+        raise NotConstructible(
+            f"no MR({m},{k * m};{k * s},{s}): need 2 <= s <= m and s even or km odd"
+        )
+
+
+def _nmss_gate(m: int, s: int, t: int) -> None:
+    if min(m, s, t) < 1:
+        raise ValueError("m, s and t must be positive")
+    if not existence.nmss_exists(m, s, t):
+        raise NotConstructible(
+            f"no NMSS({m},{s};{t}): need 3 <= s <= m and s even or mt odd"
+        )
+
+
 def _five_case_gate(m: int, s: int) -> None:
     if m < 1 or s < 1:
         raise ValueError("m and s must be positive")
@@ -222,16 +233,32 @@ def _five_case_gate(m: int, s: int) -> None:
 
 
 def _build_stacked(m, k, s, **kw):
+    _stacked_gate(m, k, s)
     square = None if s == 2 else ingredients.magic_square_holes(m, s, **kw)
     return stacked(m, k, s, square)
 
 
+def _build_nmss(m, s, t, **kw):
+    """The construct nmss command's build: an NmssResult, not a grid."""
+    _nmss_gate(m, s, t)
+    return nmss(m, s, t, ingredients.magic_square_holes(m, s, **kw))
+
+
 def _build_five_case(m, s, **kw):
-    _five_case_gate(m, s)  # before any ingredient search
+    _five_case_gate(m, s)
     profile = DiagonalProfile(((s // 2, 0, m * s - 1),))
     big = ingredients.magic_square_holes(2 * m, 2 * s, profile=profile, **kw)
     strip = _build_stacked(m, 2, s, **kw)  # MR(m,2m;2s,s)
     return five_case(m, s, big, strip)
+
+
+def _build_product(m, s, a, b, **kw):
+    # nonpositive parameters fall through to the ingredients' ValueError
+    if min(m, s, a, b) > 0 and not (existence.ms_exists(m, s) and existence.mr_exists(a, b)):
+        raise NotConstructible(f"no MR({a * m},{b * m};{b * s},{a * s}): "
+                               f"needs both MS({m};{s}) and MR({a},{b})")
+    return product(ingredients.magic_square_holes(m, s, **kw),
+                   ingredients.classical_rectangle(a, b, **kw))
 
 
 # Route name -> build(*params, **kw): params as existence.ROUTES gives them
@@ -244,8 +271,7 @@ BUILDS = {
     "TwoPerColumn": lambda m, k, **kw: two_per_column(m, k),
     "Stacked": _build_stacked,
     "FiveCase": _build_five_case,
-    "Product": lambda m, s, a, b, **kw: product(ingredients.magic_square_holes(m, s, **kw),
-                                                ingredients.classical_rectangle(a, b, **kw)),
+    "Product": _build_product,
     "BlockSet": lambda a, b, c, **kw: block_set(
         a, b, c, ingredients.magic_rectangle_set(a, b, c, **kw)),
 }

@@ -36,7 +36,7 @@ class BadIngredient(HoleyMagicError):
 class SearchBudgetExceeded(HoleyMagicError):
     """Backtracking gave up before exhausting the space.  Inconclusive,
     never evidence of nonexistence.  Carries the ingredient it gave up on,
-    e.g. "MR(4,6)" or "MS(8;4) profile 1:0:7", and the nodes spent."""
+    e.g. "MR(5,7)" or "MS(8;4) profile 1:0:7", and the nodes spent."""
 
     def __init__(self, ingredient: str, nodes: int):
         super().__init__(ingredient, nodes)  # args rebuild it when unpickled

@@ -1,9 +1,10 @@
 """Ingredient grids for the constructions: holey magic squares MS(m;s),
 classical full magic rectangles and magic rectangle sets MRS(a,b;c).
 
-Resolution order is always catalog, then cache, then closed form, then
-deterministic backtracking search; whatever is built is stored when a
-cache is given.  Closed forms lift a small base through Kotzig arrays
+Resolution order is always the existence gate, then the catalog or a
+closed form, returned without touching the cache, then the cache, then
+deterministic backtracking search; only a searched result is stored when
+a cache is given.  Closed forms lift a small base through Kotzig arrays
 (kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3, the
 full squares MS(m;m), and MRS(a,b;c) with even sides.  Odd coprime
 rectangles, odd rectangle sets, thin squares (s < m) and profiled squares
@@ -439,9 +440,9 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
     """An s-diagonal MS(m;s), optionally matching a diagonal profile.
 
     Raises NotConstructible unless existence.ms_exists(m, s).  Resolution:
-    catalog, cache, the closed-form full square when s = m and it meets
-    the profile, then search: anchored on the profile's runs, or layered
-    (all diagonals as value blocks, then all but two, then free).
+    catalog, the closed-form full square when s = m and it meets the
+    profile, then cache and search: anchored on the profile's runs, or
+    layered (all diagonals as value blocks, then all but two, then free).
     """
     if m < 1 or s < 1:
         raise ValueError("m and s must be positive")
@@ -458,20 +459,12 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
     text = _CATALOG_MS.get((m, s))
     if text is not None:
         grid = parse(text)
-        if profile is None or profile_satisfied(grid, profile):
-            return grid
-
-    store = _as_cache(cache)
-    if store is not None:
-        hit = store.load("ms", (m, s), profile)
-        if hit is not None:
-            return hit[0]
-
-    grid = _closed_rectangle(m, m) if s == m else None
-    if grid is None or (profile is not None and not profile_satisfied(grid, profile)):
-        grid = _search_square(m, s, profile, budget)
-    if store is not None:
-        store.store("ms", (m, s), [grid], profile)
+    else:
+        grid = _closed_rectangle(m, m) if s == m else None
+    if grid is not None and (profile is None or profile_satisfied(grid, profile)):
+        return grid
+    (grid,) = _searched("ms", (m, s), profile, cache,
+                        lambda: [_search_square(m, s, profile, budget)])
     return grid
 
 
@@ -568,7 +561,7 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
     """Full a x b magic rectangle on 0..ab-1.
 
     Raises NotConstructible unless existence.mr_exists(a, b).  Resolution:
-    cache, the closed form, then search (odd coprime sides only).
+    the closed form, then cache and search (odd coprime sides only).
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
@@ -579,17 +572,10 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
     if a == 1:
         return HoleyGrid.from_rows([[0]])
 
-    store = _as_cache(cache)
-    if store is not None:
-        hit = store.load("mr", (a, b))
-        if hit is not None:
-            return hit[0]
-
     result = _closed_rectangle(a, b)
     if result is None:
-        (result,) = _search_rectangles(a, b, 1, budget, f"MR({a},{b})")
-    if store is not None:
-        store.store("mr", (a, b), [result])
+        (result,) = _searched("mr", (a, b), None, cache,
+                              lambda: _search_rectangles(a, b, 1, budget, f"MR({a},{b})"))
     return result
 
 
@@ -602,29 +588,35 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     b(abc-1)/2 and column sum a(abc-1)/2.
 
     Raises NotConstructible unless existence.mrs_exists(a, b, c).
-    Resolution: cache, then for even sides c copies of the closed-form
-    MR(a,b) lifted through kotzig(2, c) with checkerboard classes, and for
-    odd sides search.
+    Resolution: for even sides c copies of the closed-form MR(a,b) lifted
+    through kotzig(2, c) with checkerboard classes, and for odd sides
+    cache and search.
     """
     _mrs_gate(a, b, c)
-
-    store = _as_cache(cache)
-    if store is not None:
-        hit = store.load("mrs", (a, b, c))
-        if hit is not None:
-            return hit
-
     if a % 2 == 0:
-        result = lift(_closed_rectangle(a, b), lambda i, j: (i + j) % 2, kotzig(2, c))
-    else:
-        result = _search_rectangles(a, b, c, budget, f"MRS({a},{b};{c})")
-    if store is not None:
-        store.store("mrs", (a, b, c), result)
-    return result
+        return lift(_closed_rectangle(a, b), lambda i, j: (i + j) % 2, kotzig(2, c))
+    return _searched("mrs", (a, b, c), None, cache,
+                     lambda: _search_rectangles(a, b, c, budget, f"MRS({a},{b};{c})"))
 
 
 # ---------------------------------------------------------------------------
 # persistent cache
+
+def _searched(kind, params, profile, cache, search) -> List[HoleyGrid]:
+    """The grids of a searched ingredient: the cache's entry when `cache`
+    (an IngredientCache or a path, or None for no cache) holds the key,
+    else search(), stored in the cache.  The only code that touches the
+    cache; catalog and closed-form ingredients never reach it."""
+    if cache is None:
+        return search()
+    if not isinstance(cache, IngredientCache):
+        cache = IngredientCache(cache)
+    grids = cache.load(kind, params, profile)
+    if grids is None:
+        grids = search()
+        cache.store(kind, params, grids, profile)
+    return grids
+
 
 def _cache_key(kind: str, params: Sequence[int], profile: Optional[DiagonalProfile]) -> str:
     tag = profile.tag() if profile is not None else "-"
@@ -657,19 +649,16 @@ def _validate_entry(kind, params, profile, grids):
 
 
 class IngredientCache:
-    """Human-inspectable file of built ingredients.
+    """Human-inspectable file of searched ingredients.
 
     Records are a KEY line ("KEY <kind> <params...> <profile-tag>") followed
     by the entry's MRX blocks.  Stores rewrite the whole file atomically, so
-    readers never observe torn writes.  An instance keeps the text it last
-    parsed or wrote with the entries parsed from it, and parses the file
-    again only when its text differs.
+    readers never observe torn writes.  Every load and store parses the
+    file afresh; it holds only searched ingredients, so it stays small.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._text: Optional[str] = None
-        self._entries: Dict[str, List[str]] = {}
 
     def load(self, kind, params, profile=None):
         """Grids for the key, or None on a miss.  Entries re-verify on load;
@@ -693,7 +682,7 @@ class IngredientCache:
         entries = self._read()
         if entries.get(key) == texts:
             return
-        entries = {**entries, key: texts}
+        entries[key] = texts
         lines = []
         for key, texts in entries.items():
             lines.append(f"KEY {key}\n")
@@ -712,10 +701,9 @@ class IngredientCache:
                 raise
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
-        self._text, self._entries = payload, entries
 
     def _read(self) -> Dict[str, List[str]]:
-        """The file's entries; callers must not mutate the result."""
+        """The file's entries, parsed afresh."""
         try:
             with open(self.path, "r") as fh:
                 raw = fh.read()
@@ -725,14 +713,6 @@ class IngredientCache:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CorruptCache(f"{self.path}: undecodable bytes: {exc}") from exc
-        # content, not stat: an edit at the same size within one timestamp
-        # tick must still be seen
-        if raw != self._text:
-            self._entries = self._parse(raw)
-            self._text = raw
-        return self._entries
-
-    def _parse(self, raw: str) -> Dict[str, List[str]]:
         entries: Dict[str, List[str]] = {}
         lines = raw.splitlines(keepends=True)
         pos = 0
@@ -765,11 +745,3 @@ class IngredientCache:
                 pos += nrows + 1
             entries[key] = texts
         return entries
-
-
-def _as_cache(cache) -> Optional[IngredientCache]:
-    if cache is None:
-        return None
-    if isinstance(cache, IngredientCache):
-        return cache
-    return IngredientCache(cache)

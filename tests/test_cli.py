@@ -62,6 +62,18 @@ def test_construct_failure_exits_one(capsys):
     assert err.startswith("error:")
 
 
+def test_nmss_gate_runs_before_any_search(capsys, monkeypatch):
+    # MS(31;3) exists but NMSS(31,3;2) does not; the square's search would
+    # run at the default 10^8-node budget
+    def no_search(*args):
+        raise AssertionError("search ran for a refused shape")
+
+    monkeypatch.setattr(ingredients, "_search_assignment", no_search)
+    code, out, err = run(capsys, "construct", "nmss", "--m", "31", "--s", "3", "--t", "2")
+    assert (code, out) == (1, "")
+    assert "NMSS(31,3;2)" in err
+
+
 def test_construct_matches_realize(capsys):
     # one shape per decide route that has a construct subcommand
     for argv, shape in [
@@ -226,18 +238,19 @@ def test_ingredient_cache_flag(capsys, tmp_path):
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     # the reused parser must not carry the previous call's --cache over
+    # MR(3,5) is searched, so it is stored; closed forms never touch a cache
     flag, path = tmp_path / "flagcache.mrx", tmp_path / "envcache.mrx"
-    assert run(capsys, "ingredient", "mr", "--a", "4", "--b", "6", "--cache", str(flag))[0] == 0
+    assert run(capsys, "ingredient", "mr", "--a", "3", "--b", "5", "--cache", str(flag))[0] == 0
     monkeypatch.setenv("HOLEY_CACHE", str(path))
-    code, _, _ = run(capsys, "ingredient", "mr", "--a", "4", "--b", "6")
+    code, _, _ = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5")
     assert code == 0
     assert path.exists()
 
 
 def test_undecodable_cache_exits_one(capsys, tmp_path):
     path = tmp_path / "cache.mrx"
-    path.write_bytes(b"KEY mr 4 6 -\n4 6\n\xff\xfe 1\n")
-    code, out, err = run(capsys, "ingredient", "mr", "--a", "4", "--b", "6",
+    path.write_bytes(b"KEY mr 3 5 -\n3 5\n\xff\xfe 1\n")
+    code, out, err = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5",
                          "--cache", str(path))
     assert (code, out) == (1, "")
     assert "undecodable" in err

@@ -17,6 +17,7 @@ from holeymagic import (
     two_per_column,
     verify,
 )
+from holeymagic.construct import BUILDS
 from holeymagic.ingredients import classical_rectangle, magic_rectangle_set
 
 import golden
@@ -68,6 +69,15 @@ def test_stacked_parity_gate():
     # k*m even with s odd has no balanced routing
     with pytest.raises(NotConstructible):
         stacked(5, 2, 3, square)
+
+
+def test_builds_gate_before_any_search():
+    # MS(31;3) exists and searches; at one node its search would raise
+    # SearchBudgetExceeded, but NMSS(31,3;2) and MR(3,4) do not exist
+    with pytest.raises(NotConstructible):
+        BUILDS["Stacked"](31, 2, 3, budget=1)
+    with pytest.raises(NotConstructible):
+        BUILDS["Product"](31, 3, 3, 4, budget=1)
 
 
 def test_stacked_rejects_bad_square():

@@ -17,9 +17,11 @@ from holeymagic import (
     is_consecutive_cyclic,
     parse,
     profile_satisfied,
+    realize,
     serialize,
     verify,
 )
+from holeymagic import ingredients
 from holeymagic.ingredients import (
     _search_rectangles,
     classical_rectangle,
@@ -279,19 +281,63 @@ def test_cache_rejects_malformed_file(tmp_path):
 
 def test_cached_mrs_roundtrip(tmp_path):
     cache = IngredientCache(tmp_path / "ing.mrx")
-    rects = magic_rectangle_set(2, 4, 2, cache=cache)
-    assert cache.load("mrs", (2, 4, 2)) == rects
+    rects = magic_rectangle_set(3, 3, 3, cache=cache)
+    assert cache.load("mrs", (3, 3, 3)) == rects
 
 
-def test_closed_forms_are_cached(tmp_path):
+def _closed_forms(path):
+    return (classical_rectangle(9, 15, cache=path, budget=1),
+            magic_square_holes(6, 6, cache=path, budget=1),
+            magic_rectangle_set(4, 6, 3, cache=path, budget=1))
+
+
+def test_closed_forms_skip_the_cache(tmp_path):
     path = tmp_path / "ing.mrx"
-    rect = classical_rectangle(9, 15, cache=path, budget=1)
-    square = magic_square_holes(6, 6, cache=path, budget=1)
-    rects = magic_rectangle_set(4, 6, 3, cache=path, budget=1)
-    fresh = IngredientCache(path)
-    assert fresh.load("mr", (9, 15)) == [rect]
-    assert fresh.load("ms", (6, 6)) == [square]
-    assert fresh.load("mrs", (4, 6, 3)) == rects
+    built = _closed_forms(path)
+    assert not path.exists()
+    assert built == _closed_forms(None)
+    corrupt = tmp_path / "corrupt.mrx"
+    corrupt.write_text("not a cache\n")
+    assert _closed_forms(corrupt) == built
+
+
+def test_only_searched_ingredients_touch_the_cache(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(name):
+        method = getattr(IngredientCache, name)
+
+        def wrapped(self, kind, params, *rest):
+            calls.append((name, kind, tuple(params)))
+            return method(self, kind, params, *rest)
+        return wrapped
+
+    for name in ("load", "store"):
+        monkeypatch.setattr(IngredientCache, name, spy(name))
+    cache = IngredientCache(tmp_path / "ing.mrx")
+    magic_square_holes(5, 3, cache=cache)  # catalog
+    _closed_forms(cache)
+    assert calls == []
+
+    searched = [lambda: [magic_square_holes(7, 4, cache=cache)],
+                lambda: [classical_rectangle(3, 5, cache=cache)],
+                lambda: magic_rectangle_set(3, 3, 1, cache=cache)]
+    keys = [("ms", (7, 4)), ("mr", (3, 5)), ("mrs", (3, 3, 1))]
+    first = [fetch() for fetch in searched]
+    assert calls == [(op, *key) for key in keys for op in ("load", "store")]
+    # a hit neither searches nor stores
+    del calls[:]
+    monkeypatch.setattr(ingredients, "_search_assignment", None)
+    assert [fetch() for fetch in searched] == first
+    assert calls == [("load", *key) for key in keys]
+
+
+def test_realize_stores_only_searched_keys(tmp_path):
+    # product of the catalog MS(5;3) and the searched MR(3,5)
+    path = tmp_path / "ing.mrx"
+    realize(15, 25, 15, 9, cache=path)
+    assert [line for line in path.read_text().splitlines()
+            if line.startswith("KEY ")] == ["KEY mr 3 5 -"]
 
 
 def test_cache_sees_same_size_tampering_after_store(tmp_path):
