@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import ParseError, ShapeError
@@ -209,7 +210,7 @@ def above(grids) -> HoleyGrid:
 
 def beside(grids) -> HoleyGrid:
     """Grids of one height set side by side, left to right."""
-    return HoleyGrid.from_rows(sum(rows, ()) for rows in zip(*(g.cells for g in grids)))
+    return HoleyGrid.from_rows(chain.from_iterable(rows) for rows in zip(*(g.cells for g in grids)))
 
 
 def serialize(grid: HoleyGrid) -> str:

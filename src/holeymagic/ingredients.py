@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -289,23 +289,36 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
 
     Each domain keeps its unused values as one ascending free list: a
     placement pops the value at its position and backtracking re-inserts
-    it there, so a line's bounds are sums of the k smallest and k largest
-    free values (plain slices), and a cell's candidates are the free values
-    from just above its precedence floor up to the smallest remaining line
-    target.  The search is an explicit-stack loop, so its depth is not
-    limited by the interpreter's recursion limit.  Charges one budget unit
-    per attempted placement and raises SearchBudgetExceeded on the attempt
-    after the budget runs dry.
+    it there.  A cell's candidates are the free values from just above its
+    precedence floor up to the smallest remaining line target, tried in
+    ascending order.  A candidate can be placed when, on each line of the
+    cell, the gap it leaves lies between the sums of the k smallest and of
+    the k largest free values the line's k later cells can take.  Taking
+    the candidate out of its domain trades it for the next free value only
+    when it is among those k, so the candidates that pass form one window
+    of the free list: the kernel bisects to it on entering a cell and
+    keeps it while it resumes the cell, whose state is then the same.  The
+    search is an explicit-stack loop, so its depth is not limited by the
+    interpreter's recursion limit.
+
+    Charges one budget unit per attempted placement, as if every candidate
+    were tried in turn: the candidates the window skips are charged in one
+    step.  Raises SearchBudgetExceeded on the attempt after the budget
+    runs dry.
     """
     ncells = len(cell_domain)
     gap = [t for t, _ in lines]  # a line's target minus its placed values
-    # per cell: (line, (domain, count) pairs of that line's later cells)
+    # per cell: (line, (domain, count) pairs of that line's later cells,
+    # how many of those cells share the cell's own domain)
     checks: List[List[tuple]] = [[] for _ in range(ncells)]
     for L, (_, seq) in enumerate(lines):
         counts: Dict[int, int] = {}
         for c in reversed(seq):
-            checks[c].append((L, tuple(counts.items())))
-            counts[cell_domain[c]] = counts.get(cell_domain[c], 0) + 1
+            d = cell_domain[c]
+            k = counts.get(d, 0)
+            checks[c].append((L, tuple(counts.items()), k))
+            counts[d] = k + 1
+    lines_of = [tuple(L for L, _, _ in mine) for mine in checks]
     prec_of: List[List[int]] = [[] for _ in range(ncells)]
     for earlier, later in precedes:
         prec_of[later].append(earlier)
@@ -313,39 +326,50 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
     free = [list(d) for d in domains]
     assignment = [0] * ncells
     pos_of = [0] * ncells  # free-list position each placed value came from
+    stop = [0] * ncells  # end of the cell's window of placeable positions
+    end = [0] * ncells  # end of its candidates, the smallest gap's bisect
     left = budget.left
     idx, pos = 0, None  # pos None: cell idx is entered afresh, not resumed
     while idx < ncells:
         f = free[cell_domain[idx]]
-        mine = checks[idx]
-        cap = min(gap[L] for L, _ in mine)
         if pos is None:
-            pos = bisect_right(f, max((assignment[p] for p in prec_of[idx]), default=-1))
-        for pos in range(pos, bisect_right(f, cap)):
-            left -= 1
-            if left < 0:
-                budget.left = left
-                raise SearchBudgetExceeded(budget.label, budget.total - left)
-            v = f.pop(pos)
-            for L, rest in mine:
-                need = gap[L] - v
-                if not rest:
-                    if need:
-                        break
-                    continue
+            prec = prec_of[idx]
+            pos = at = bisect_right(f, max([assignment[p] for p in prec]) if prec else -1)
+            end[idx] = upto = bisect_right(f, min([gap[L] for L in lines_of[idx]]))
+            last = len(f) - 1
+            for L, rest, k in checks[idx]:
+                if at >= upto:
+                    break
                 lo = hi = 0
-                for d, k in rest:
-                    lo += free[d][0] if k == 1 else sum(free[d][:k])
-                if need < lo:
+                for d, c in rest:
+                    fd = free[d]
+                    if c == 1:
+                        lo += fd[0]
+                        hi += fd[-1]
+                    else:
+                        lo += sum(fd[:c])
+                        hi += sum(fd[-c:])
+                # position p passes iff f[max(p, k)] <= most and
+                # f[min(p, last - k)] >= least: a v among the k smallest
+                # (largest) free values is traded for f[k] (f[last - k])
+                most, least = gap[L] - lo, gap[L] - hi
+                if f[k] > most or f[last - k] < least:
+                    upto = at
                     break
-                for d, k in rest:
-                    hi += free[d][-1] if k == 1 else sum(free[d][-k:])
-                if need > hi:
-                    break
-            else:
-                break  # every line of the cell can still reach its target
-            f.insert(pos, v)
+                at = bisect_left(f, least, at, upto)
+                upto = bisect_right(f, most, at, upto)
+            stop[idx] = upto
         else:
+            at = pos  # resumed inside or past the window: no bound to check
+        if at < stop[idx]:
+            spent = at - pos + 1
+        else:
+            spent = max(end[idx] - pos, 0)
+        if spent > left:
+            budget.left = -1
+            raise SearchBudgetExceeded(budget.label, budget.total + 1)
+        left -= spent
+        if at >= stop[idx]:
             # candidates exhausted: take back the previous cell's value and
             # resume that cell after it
             if idx == 0:
@@ -353,14 +377,15 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
                 return None
             idx -= 1
             v, pos = assignment[idx], pos_of[idx]
-            for L, _ in checks[idx]:
+            for L in lines_of[idx]:
                 gap[L] += v
             free[cell_domain[idx]].insert(pos, v)
             pos += 1
             continue
-        for L, _ in mine:
+        v = f.pop(at)
+        for L in lines_of[idx]:
             gap[L] -= v
-        assignment[idx], pos_of[idx] = v, pos
+        assignment[idx], pos_of[idx] = v, at
         idx, pos = idx + 1, None
     budget.left = left
     return assignment

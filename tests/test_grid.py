@@ -18,6 +18,7 @@ from holeymagic import (
     serialize,
     verify,
 )
+from holeymagic.grid import beside
 
 import golden
 import support
@@ -121,6 +122,17 @@ def test_cyclic_runs_wrap():
     assert cyclic_run_start({0, 1, 2, 3, 4}, 5) == 0
     with pytest.raises(ValueError):
         cyclic_run_start({0, 2}, 5)
+
+
+def test_beside_many_grids_concatenates_rows():
+    rng = random.Random(7)
+    grids = [HoleyGrid.from_rows([[rng.choice([None, rng.randint(0, 99)]) for _ in range(w)]
+                                  for _ in range(3)])
+             for w in [rng.randint(1, 4) for _ in range(500)]]
+    joined = beside(grids)
+    expected = tuple(tuple(v for g in grids for v in g.cells[i]) for i in range(3))
+    assert joined == HoleyGrid(3, len(expected[0]), expected)
+    assert beside(grids[:1]) == grids[0]
 
 
 def test_serialize_golden_fixed_point():

@@ -9,6 +9,7 @@ from holeymagic import (
     CorruptCache,
     DiagonalProfile,
     HoleyGrid,
+    HoleyMagicError,
     IngredientCache,
     MagicSpec,
     NotConstructible,
@@ -21,9 +22,10 @@ from holeymagic import (
     serialize,
     verify,
 )
-from holeymagic import ingredients
+from holeymagic import existence, ingredients
 from holeymagic.ingredients import (
     _search_rectangles,
+    _search_square,
     classical_rectangle,
     magic_rectangle_set,
     magic_square_holes,
@@ -414,6 +416,24 @@ SEARCHED_MS_8_4_PROFILE = """\
 . . . 6 25 21 10 .
 """
 
+SEARCHED_MR_3_11 = """\
+3 11
+0 1 2 3 19 20 23 25 26 28 29
+16 17 15 18 24 22 21 9 10 13 11
+32 30 31 27 5 6 4 14 12 7 8
+"""
+
+SEARCHED_MS_7_4 = """\
+7 7
+. . . 0 7 20 27
+22 . . . 6 9 17
+16 26 . . . 4 8
+13 15 24 . . . 2
+3 12 14 25 . . .
+. 1 11 19 23 . .
+. . 5 10 18 21 .
+"""
+
 
 PINNED_SEARCHES = [
     # (search at a node budget, least budget that succeeds, frozen output,
@@ -426,11 +446,16 @@ PINNED_SEARCHES = [
      "MRS(3,3;3)"),
     (lambda budget: [magic_square_holes(8, 4, DiagonalProfile(((1, 0, 7),)), budget=budget)],
      213_750, SEARCHED_MS_8_4_PROFILE, "MS(8;4) profile 1:0:7"),
+    # wide rows, where the kernel skips most candidates in one step
+    (lambda budget: _search_rectangles(3, 11, 1, budget, "MR(3,11)"), 162_588,
+     SEARCHED_MR_3_11, "MR(3,11)"),
+    # layered search: three stages share one budget
+    (lambda budget: [_search_square(7, 4, None, budget)], 35_815, SEARCHED_MS_7_4, "MS(7;4)"),
 ]
 
 
 @pytest.mark.parametrize("search, nodes, frozen, ingredient", PINNED_SEARCHES,
-                         ids=["mr_4_6", "mrs_3_3_3", "ms_8_4_profile"])
+                         ids=["mr_4_6", "mrs_3_3_3", "ms_8_4_profile", "mr_3_11", "ms_7_4"])
 def test_pinned_node_counts_and_outputs(search, nodes, frozen, ingredient):
     assert "".join(serialize(g) for g in search(nodes)) == frozen
     with pytest.raises(SearchBudgetExceeded) as info:
@@ -449,3 +474,60 @@ def test_deep_search_does_not_recurse():
     (grid,) = _search_rectangles(2, 700, 1, 400_000, "MR(2,700)")
     assert verify(grid, MagicSpec(2, 700, 700, 2)).ok
     assert sys.getrecursionlimit() == limit
+
+
+def _differential_searches():
+    """(id, search at a node budget) for every search the windowed kernel
+    is compared on with the reference kernel."""
+    for m in range(4, 16):
+        for s in range(1, m + 1):
+            if existence.ms_exists(m, s):
+                yield f"ms_{m}_{s}", lambda b, m=m, s=s: [_search_square(m, s, None, b)]
+    # FiveCase-style profiles: the lowest s/4 diagonals hold the lowest values
+    for m, s in [(6, 4), (8, 4), (10, 4), (12, 6)]:
+        profile = DiagonalProfile(((s // 4, 0, m * (s // 4) - 1),))
+        yield f"ms_{m}_{s}_profile", lambda b, m=m, s=s, p=profile: [_search_square(m, s, p, b)]
+    for a in range(1, 8):
+        for b in range(1, 20):
+            if existence.mr_exists(a, b):
+                yield f"mr_{a}_{b}", lambda n, a=a, b=b: _search_rectangles(a, b, 1, n, "MR")
+    for a, b, c in [(3, 3, 3), (3, 3, 5), (3, 5, 3), (3, 7, 3), (5, 5, 3), (2, 4, 2), (4, 4, 3)]:
+        yield f"mrs_{a}_{b}_{c}", lambda n, a=a, b=b, c=c: _search_rectangles(a, b, c, n, "MRS")
+
+
+DIFFERENTIAL_SEARCHES = list(_differential_searches())
+# each search runs at the largest budget and at one smaller one, in turn
+DIFFERENTIAL_BUDGETS = [1, 2, 9, 80, 700, 4_000, 12_000]
+
+
+def _outcomes(kernel, search, budgets, monkeypatch):
+    """Per budget: the serialized grids or the error text, and the nodes
+    left after each kernel call the search made."""
+    left = []
+
+    def traced(cell_domain, lines, domains, budget, precedes=()):
+        try:
+            return kernel(cell_domain, lines, domains, budget, precedes)
+        finally:
+            left.append(budget.left)
+
+    monkeypatch.setattr(ingredients, "_search_assignment", traced)
+    outcomes = []
+    for budget in budgets:
+        try:
+            text = "".join(serialize(g) for g in search(budget))
+        except HoleyMagicError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        outcomes.append((text, left[:]))
+        del left[:]
+    return outcomes
+
+
+@pytest.mark.parametrize("case", range(len(DIFFERENTIAL_SEARCHES)),
+                         ids=[name for name, _ in DIFFERENTIAL_SEARCHES])
+def test_windowed_kernel_matches_reference(case, monkeypatch):
+    _, search = DIFFERENTIAL_SEARCHES[case]
+    budgets = (DIFFERENTIAL_BUDGETS[case % len(DIFFERENTIAL_BUDGETS)], 20_000)
+    kernels = (ingredients._search_assignment, support.reference_search_assignment)
+    windowed, reference = (_outcomes(k, search, budgets, monkeypatch) for k in kernels)
+    assert windowed == reference
