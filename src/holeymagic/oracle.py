@@ -6,11 +6,21 @@ order, so counts and witness order are reproducible.
 
 The sweep is an explicit-stack loop, so a walk thousands of cells deep
 needs no recursion limit.  The unused values sit in one ascending free
-list: a placement pops its value, backtracking re-inserts it at the same
-position, and a line's bounds are the sums of the k smallest and k largest
-free values other than the candidate.  A node is one allowed Empty attempt
-or one free value examined, counting the first value too large for its
-line, which ends that cell's candidates; a run stops on node budget + 1.
+list: a placement pops its value and backtracking re-inserts it at the
+same position.  A value fits a cell when, on its row and on its column,
+what the line still needs minus the value lies between the sums of the k
+smallest and of the k largest other free values, k being the line's cells
+still to fill after this one.  Leaving the value out changes those sums
+only when it is among the k, by trading it for the next smallest (largest)
+free value, so the values that fit form one window of the free list: on
+entering a cell's values the sweep finds it by bisection, and keeps it
+while it resumes the cell, whose state is then the same.
+
+A node is one allowed Empty attempt or one free value examined, counting
+the first value too large for its line, which ends that cell's values; a
+run stops on node budget + 1.  Values the window skips are charged in one
+step, as if each were examined in turn, so node counts are those of a
+value-by-value walk.
 """
 
 from __future__ import annotations
@@ -43,16 +53,7 @@ def enumerate(m: int, n: int, r: int, s: int, witness_cap: int = 4,
     Malformed parameters raise ShapeError.  Running out of node budget
     returns the partial count with exhausted=False instead of raising.
     """
-    MagicSpec(m, n, r, s)
-    if witness_cap < 0:
-        raise ValueError("witness_cap must be >= 0")
-    if node_budget < 1:
-        raise ValueError("node_budget must be positive")
-    if m * r > LARGE_VALUE_COUNT and not allow_large:
-        raise ValueError(
-            f"{m * r} values is beyond the default enumeration range; "
-            "pass allow_large=True to search anyway"
-        )
+    _check_args(m, n, r, s, witness_cap, node_budget, allow_large)
     return _run(m, n, r, s, witness_cap, node_budget, None)
 
 
@@ -60,18 +61,24 @@ def exists_brute(m: int, n: int, r: int, s: int,
                  node_budget: int = DEFAULT_NODE_BUDGET, *,
                  allow_large: bool = False) -> str:
     """"yes", "no" or "inconclusive", stopping at the first witness."""
-    MagicSpec(m, n, r, s)
-    if node_budget < 1:
-        raise ValueError("node_budget must be positive")
-    if m * r > LARGE_VALUE_COUNT and not allow_large:
-        raise ValueError(
-            f"{m * r} values is beyond the default enumeration range; "
-            "pass allow_large=True to search anyway"
-        )
+    _check_args(m, n, r, s, 1, node_budget, allow_large)
     res = _run(m, n, r, s, 1, node_budget, 1)
     if res.count > 0:
         return "yes"
     return "no" if res.exhausted else "inconclusive"
+
+
+def _check_args(m, n, r, s, witness_cap, node_budget, allow_large) -> None:
+    MagicSpec(m, n, r, s)
+    if witness_cap < 0:
+        raise ValueError("witness_cap must be >= 0")
+    if node_budget < 1:
+        raise ValueError("node_budget must be positive")
+    if m * r > LARGE_VALUE_COUNT and not allow_large:
+        raise ValueError(
+            f"{m * r} values is beyond the {LARGE_VALUE_COUNT}-value enumeration "
+            "limit; only the library call, with allow_large=True, searches past it"
+        )
 
 
 def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
@@ -94,6 +101,8 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
     col_need = [col2 // 2] * n
     free = list(range(total))  # unused values, ascending
     taken = [0] * cells  # free-list position of the cell's value, -1 if Empty
+    upto = [0] * cells  # end of the cell's window of fitting positions
+    nofit = [0] * cells  # nodes its values cost from position 0 when none fits
     witnesses = []
     count = 0
     left = node_budget
@@ -120,57 +129,73 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
                     idx, start = idx + 1, -1
                     continue
             if rfl >= 0 and cfl >= 0:
-                rneed = row_need[i]
-                cneed = col_need[j]
-                nfree = len(free)
-                stop = bisect_right(free, rneed if rneed < cneed else cneed)
-                # positions first..last-1 are examined one by one; the rest
-                # of start..stop-1 cannot fit and are only charged
-                first, last = start, stop
-                if rfl == 0 or cfl == 0:
-                    # a line's last cell can only take what the line still needs
-                    want = rneed if rfl == 0 else cneed
-                    first = bisect_left(free, want, start, stop)
-                    last = first + 1 if first < stop and free[first] == want else first
-                left -= first - start  # a shortfall is caught below
-                if first < last:
-                    # A candidate v at position pos fits its row when the rfl
-                    # smallest and largest other free values can make up
-                    # rneed - v; leaving v out shifts a slice by one when v
-                    # falls inside it.  Likewise for its column.
-                    r_lo = sum(free[:rfl])
-                    r_lo1 = r_lo + free[rfl]
-                    r_hi = sum(free[nfree - rfl:])
-                    r_hi1 = r_hi + free[nfree - rfl - 1]
-                    c_lo = sum(free[:cfl])
-                    c_lo1 = c_lo + free[cfl]
-                    c_hi = sum(free[nfree - cfl:])
-                    c_hi1 = c_hi + free[nfree - cfl - 1]
-                for pos in range(first, last):
-                    left -= 1
-                    if left < 0:
-                        return EnumerationResult(count, tuple(witnesses), False)
-                    v = free[pos]
-                    if ((r_lo1 if pos < rfl else r_lo + v) <= rneed
-                            <= (r_hi1 if pos >= nfree - rfl else r_hi + v)
-                            and (c_lo1 if pos < cfl else c_lo + v) <= cneed
-                            <= (c_hi1 if pos >= nfree - cfl else c_hi + v)):
-                        break
+                if start:
+                    # resumed after its last value: the window still holds
+                    at, end = start, upto[idx]
                 else:
-                    # nothing fits; the first value too large for the row or column
-                    # is examined too
-                    left -= stop - last + (stop < nfree)
-                    if left < 0:
-                        return EnumerationResult(count, tuple(witnesses), False)
-                    pos = -1
-                if pos >= 0:
-                    del free[pos]
+                    rneed = row_need[i]
+                    cneed = col_need[j]
+                    nfree = len(free)
+                    stop = bisect_right(free, rneed if rneed < cneed else cneed)
+                    # the values up to stop are examined, plus the first value
+                    # too large for the row or column
+                    nofit[idx] = stop + (stop < nfree)
+                    # Position p fits a line with k cells after this one iff
+                    # free[max(p, k)] <= most and free[min(p, nfree - 1 - k)]
+                    # >= least, most and least being the line's need less the
+                    # k smallest and the k largest free values: leaving out
+                    # one of those k trades it for free[k] (free[nfree-1-k]).
+                    # So the fitting positions form one window [at, end).
+                    if rfl == 0:
+                        # the row's last cell takes exactly what it needs
+                        at = bisect_left(free, rneed, 0, stop)
+                        end = at + 1 if at < stop and free[at] == rneed else at
+                    else:
+                        if rfl == 1:
+                            most = rneed - free[0]
+                            least = rneed - free[-1]
+                        else:
+                            most = rneed - sum(free[:rfl])
+                            least = rneed - sum(free[nfree - rfl:])
+                        # Rows fill one at a time, so free[rfl] <= most and
+                        # free[nfree - 1 - rfl] >= least hold unchecked: the
+                        # row's previous value was placed only if they held for
+                        # the values it left, and before the row's first value
+                        # the free values average its constant over r cells.
+                        at = bisect_left(free, least, 0, stop)
+                        end = bisect_right(free, most, at, stop)
+                    if at < end:
+                        if cfl == 0:
+                            at = bisect_left(free, cneed, at, end)
+                            end = at + 1 if at < end and free[at] == cneed else at
+                        else:
+                            if cfl == 1:
+                                most = cneed - free[0]
+                                least = cneed - free[-1]
+                            else:
+                                most = cneed - sum(free[:cfl])
+                                least = cneed - sum(free[nfree - cfl:])
+                            if free[cfl] > most or free[nfree - 1 - cfl] < least:
+                                end = at
+                            else:
+                                at = bisect_left(free, least, at, end)
+                                end = bisect_right(free, most, at, end)
+                    upto[idx] = end
+                if at < end:
+                    cost = at - start + 1
+                else:
+                    cost = nofit[idx] - start
+                if cost > left:
+                    return EnumerationResult(count, tuple(witnesses), False)
+                left -= cost
+                if at < end:
+                    v = free.pop(at)
                     grid[i][j] = v
-                    row_left[i] -= 1
-                    col_left[j] -= 1
-                    row_need[i] = rneed - v
-                    col_need[j] = cneed - v
-                    taken[idx] = pos
+                    row_left[i] = rfl
+                    col_left[j] = cfl
+                    row_need[i] -= v
+                    col_need[j] -= v
+                    taken[idx] = at
                     idx, start = idx + 1, -1
                     continue
         # backtrack: undo the previous cell and resume it after its choice

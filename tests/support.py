@@ -1,5 +1,5 @@
 """Shared test helpers: a from-scratch magic checker, grid mutators and the
-reference search kernel.
+reference search kernels.
 
 naive_check deliberately reimplements the magic axioms with plain loops
 and doubled integer sums so it shares nothing with the library verifier;
@@ -7,13 +7,17 @@ the two are compared for agreement on thousands of mutated grids.
 reference_search_assignment is the search kernel as it was before
 candidates were windowed: it tries and charges one candidate at a time,
 and the windowed kernel must match it node for node.
+reference_enumerate is the oracle's sweep as it was before its values
+were windowed the same way, which the windowed sweep must match at every
+node budget.
 """
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, List
 
 from holeymagic import HoleyGrid, SearchBudgetExceeded
+from holeymagic.oracle import EnumerationResult
 
 
 def naive_check(grid: HoleyGrid, m: int, n: int, r: int, s: int) -> bool:
@@ -201,3 +205,128 @@ def reference_search_assignment(cell_domain, lines, domains, budget, precedes=()
         idx, pos = idx + 1, None
     budget.left = left
     return assignment
+
+
+def reference_enumerate(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
+    """The oracle's sweep as it was before candidates were windowed: it
+    examines and charges one free value at a time, and the windowed sweep
+    must match its count, witnesses and exhaustion at every budget.
+
+    Same arguments and result as holeymagic.oracle._run.
+    """
+    total = m * r
+    row2 = r * (total - 1)
+    col2 = s * (total - 1)
+    if row2 % 2 or col2 % 2:
+        # the magic constant is not an integer, so no grid can exist
+        return EnumerationResult(0, (), True)
+
+    cells = m * n
+    grid = [[None] * n for _ in range(m)]
+    row_left = [r] * m  # values each line still needs
+    col_left = [s] * n
+    row_of = [idx // n for idx in range(cells)]
+    col_of = [idx % n for idx in range(cells)]
+    row_room = [n - 1 - j for j in col_of]  # cells after this one in its line
+    col_room = [m - 1 - i for i in row_of]
+    row_need = [row2 // 2] * m  # the line's constant minus its placed values
+    col_need = [col2 // 2] * n
+    free = list(range(total))  # unused values, ascending
+    taken = [0] * cells  # free-list position of the cell's value, -1 if Empty
+    witnesses = []
+    count = 0
+    left = node_budget
+    idx, start = 0, -1  # start -1: try Empty first; else the first free position
+    while True:
+        if idx == cells:
+            count += 1
+            if len(witnesses) < witness_cap:
+                witnesses.append(HoleyGrid.from_rows([row[:] for row in grid]))
+            if stop_at is not None and count >= stop_at:
+                return EnumerationResult(count, tuple(witnesses), False)
+        else:
+            i = row_of[idx]
+            j = col_of[idx]
+            rfl = row_left[i] - 1  # cells the line still needs after this one
+            cfl = col_left[j] - 1
+            if start < 0:
+                start = 0
+                if row_room[idx] > rfl and col_room[idx] > cfl:
+                    left -= 1
+                    if left < 0:
+                        return EnumerationResult(count, tuple(witnesses), False)
+                    taken[idx] = -1
+                    idx, start = idx + 1, -1
+                    continue
+            if rfl >= 0 and cfl >= 0:
+                rneed = row_need[i]
+                cneed = col_need[j]
+                nfree = len(free)
+                stop = bisect_right(free, rneed if rneed < cneed else cneed)
+                # positions first..last-1 are examined one by one; the rest
+                # of start..stop-1 cannot fit and are only charged
+                first, last = start, stop
+                if rfl == 0 or cfl == 0:
+                    # a line's last cell can only take what the line still needs
+                    want = rneed if rfl == 0 else cneed
+                    first = bisect_left(free, want, start, stop)
+                    last = first + 1 if first < stop and free[first] == want else first
+                left -= first - start  # a shortfall is caught below
+                if first < last:
+                    # A candidate v at position pos fits its row when the rfl
+                    # smallest and largest other free values can make up
+                    # rneed - v; leaving v out shifts a slice by one when v
+                    # falls inside it.  Likewise for its column.
+                    r_lo = sum(free[:rfl])
+                    r_lo1 = r_lo + free[rfl]
+                    r_hi = sum(free[nfree - rfl:])
+                    r_hi1 = r_hi + free[nfree - rfl - 1]
+                    c_lo = sum(free[:cfl])
+                    c_lo1 = c_lo + free[cfl]
+                    c_hi = sum(free[nfree - cfl:])
+                    c_hi1 = c_hi + free[nfree - cfl - 1]
+                for pos in range(first, last):
+                    left -= 1
+                    if left < 0:
+                        return EnumerationResult(count, tuple(witnesses), False)
+                    v = free[pos]
+                    if ((r_lo1 if pos < rfl else r_lo + v) <= rneed
+                            <= (r_hi1 if pos >= nfree - rfl else r_hi + v)
+                            and (c_lo1 if pos < cfl else c_lo + v) <= cneed
+                            <= (c_hi1 if pos >= nfree - cfl else c_hi + v)):
+                        break
+                else:
+                    # nothing fits; the first value too large for the row or column
+                    # is examined too
+                    left -= stop - last + (stop < nfree)
+                    if left < 0:
+                        return EnumerationResult(count, tuple(witnesses), False)
+                    pos = -1
+                if pos >= 0:
+                    del free[pos]
+                    grid[i][j] = v
+                    row_left[i] -= 1
+                    col_left[j] -= 1
+                    row_need[i] = rneed - v
+                    col_need[j] = cneed - v
+                    taken[idx] = pos
+                    idx, start = idx + 1, -1
+                    continue
+        # backtrack: undo the previous cell and resume it after its choice
+        if idx == 0:
+            return EnumerationResult(count, tuple(witnesses), True)
+        idx -= 1
+        pos = taken[idx]
+        if pos < 0:
+            start = 0
+            continue
+        i = row_of[idx]
+        j = col_of[idx]
+        v = grid[i][j]
+        grid[i][j] = None
+        free.insert(pos, v)
+        row_left[i] += 1
+        col_left[j] += 1
+        row_need[i] += v
+        col_need[j] += v
+        start = pos + 1

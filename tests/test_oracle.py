@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import sys
 
 import pytest
 
 from holeymagic import HoleyGrid, MagicSpec, ShapeError, serialize, verify
-from holeymagic.oracle import EnumerationResult, enumerate as brute_enumerate, exists_brute
+from holeymagic.oracle import EnumerationResult, _run, enumerate as brute_enumerate, exists_brute
+
+import support
 
 
 def naive_count(m, n, r, s):
@@ -123,6 +126,8 @@ def test_nonintegral_constants_short_circuit():
     ((3, 3, 3, 3), 4287, 72),
     ((2, 4, 4, 2), 1808, 48),
     ((4, 4, 2, 2), 5024, 0),
+    ((4, 2, 2, 4), 927, 48),
+    ((2, 6, 6, 2), 533_254, 1440),
 ])
 def test_pinned_node_charging(shape, nodes, count):
     done = brute_enumerate(*shape, witness_cap=0, node_budget=nodes)
@@ -144,6 +149,78 @@ def test_pinned_partial_result():
                              allow_large=True)
     assert (result.count, result.exhausted) == (10, False)
     assert [serialize(w) for w in result.witnesses] == [PARTIAL_3_5_5_3]
+
+
+PARTIAL_4_4_4_4 = """\
+4 4
+0 1 14 15
+5 10 6 9
+12 11 3 4
+13 8 7 2
+"""
+
+PARTIAL_12_2_2_12 = """\
+12 2
+0 23
+1 22
+2 21
+7 16
+12 11
+13 10
+14 9
+15 8
+17 6
+18 5
+19 4
+20 3
+"""
+
+
+# Counted on the value-by-value sweep, before its values were windowed.
+@pytest.mark.parametrize("shape, count, text, digest", [
+    ((4, 4, 4, 4), 82, PARTIAL_4_4_4_4, "7e0fd532d138ca05"),
+    ((12, 2, 2, 12), 1763, PARTIAL_12_2_2_12, "81c566df222af99b"),
+], ids=["4_4_4_4", "12_2_2_12"])
+def test_pinned_partial_results(shape, count, text, digest):
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+    result = brute_enumerate(*shape, witness_cap=1, node_budget=20_000, allow_large=True)
+    assert (result.count, result.exhausted) == (count, False)
+    assert [serialize(w) for w in result.witnesses] == [text]
+
+
+def _workload_shapes():
+    """The oracle benchmark's shapes: r, s >= 2, mr <= 40 and integral
+    line constants."""
+    shapes = []
+    for m in range(1, 21):
+        for r in range(2, 40 // m + 1):
+            total = m * r
+            for n in range(r, total + 1):
+                s = total // n
+                if (total % n == 0 and 2 <= s <= m
+                        and r * (total - 1) % 2 == 0 and s * (total - 1) % 2 == 0):
+                    shapes.append((m, n, r, s))
+    return shapes
+
+
+def test_windowed_sweep_matches_reference():
+    """Windowed values against the value-by-value sweep: same count,
+    exhaustion and witnesses, so the same nodes, at every budget tried."""
+    def outcome(res):
+        return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
+
+    shapes = _workload_shapes()
+    assert len(shapes) == 111
+    runs = [(shape, budget, None) for shape in shapes
+            for budget in (1, 7, 333, 4999, 20_000)]
+    runs += [(shape, budget, None)
+             for shape in [(3, 3, 3, 3), (2, 4, 4, 2), (4, 4, 2, 2), (4, 2, 2, 4)]
+             for budget in range(1, 1001)]
+    runs += [(shape, 20_000, 1) for shape in shapes]  # exists_brute's path
+    for shape, budget, stop_at in runs:
+        got = _run(*shape, 2, budget, stop_at)
+        want = support.reference_enumerate(*shape, 2, budget, stop_at)
+        assert outcome(got) == outcome(want), (shape, budget, stop_at)
 
 
 def test_deep_walk_does_not_recurse():
