@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import existence, ingredients
 from .errors import BadIngredient, NotConstructible
-from .grid import HoleyGrid, MagicSpec, beside, cyclic_run_start, is_consecutive_cyclic
+from .grid import Cells, HoleyGrid, MagicSpec, beside, cyclic_run_start, is_consecutive_cyclic
 from .ingredients import (
     DiagonalProfile,
     require_magic,
@@ -42,9 +42,10 @@ def _canonical_labels(support: frozenset, m: int) -> List[int]:
     return [(start + s - 1 - i) % m for i in range(s)]
 
 
-def _stacked_squares(m: int, k: int, s: int, square: HoleyGrid) -> List[HoleyGrid]:
-    """The k subsquares of the stacked construction: copies of the
-    ingredient lifted through a Kotzig array, its diagonals as classes."""
+def _stacked_squares(m: int, k: int, s: int, square: HoleyGrid) -> List[Cells]:
+    """The cells of the k subsquares of the stacked construction: copies
+    of the ingredient lifted through a Kotzig array, its diagonals as
+    classes."""
     support = require_ms(square, m, s)
     label_of = {d: i for i, d in enumerate(_canonical_labels(support, m))}
     return lift(square, lambda i, j: label_of[(j - i) % m], kotzig(s, k))
@@ -67,7 +68,7 @@ def nmss(m: int, s: int, t: int, square: HoleyGrid) -> NmssResult:
     """Nonconsecutive magic square set: the t subsquares of the stacked
     construction kept separate, sharing the constant s(mst-1)/2."""
     _nmss_gate(m, s, t)
-    squares = tuple(_stacked_squares(m, t, s, square))
+    squares = tuple(HoleyGrid(m, m, cells) for cells in _stacked_squares(m, t, s, square))
     constant = s * (m * s * t - 1) // 2
     return NmssResult(squares, constant)
 
@@ -82,7 +83,7 @@ def product(square: HoleyGrid, rect: HoleyGrid) -> HoleyGrid:
     if square.rows != square.cols:
         raise BadIngredient(f"first ingredient must be square, got {square.rows}x{square.cols}")
     m = square.rows
-    filled = sum(1 for _ in square.filled())
+    filled = sum(m - row.count(None) for row in square.cells)
     if filled % m != 0:
         raise BadIngredient("first ingredient has ragged fill counts")
     s = filled // m
@@ -94,9 +95,11 @@ def product(square: HoleyGrid, rect: HoleyGrid) -> HoleyGrid:
 
     ab = a * b
     cells: List[List] = [[None] * (b * m) for _ in range(a * m)]
-    for i, j, k in square.filled():
-        for p, q, l in rect.filled():
-            cells[i * a + p][j * b + q] = k * ab + l
+    for i, row in enumerate(square.cells):
+        for j, k in enumerate(row):
+            if k is not None:  # a full rectangle: every rect cell holds a value
+                for p, rect_row in enumerate(rect.cells):
+                    cells[i * a + p][j * b:(j + 1) * b] = [k * ab + l for l in rect_row]
     return HoleyGrid.from_rows(cells)
 
 

@@ -2,6 +2,11 @@
 
 A holey grid is an m x n array whose cells are either empty or hold a
 nonnegative integer.  Every other module produces or consumes these.
+Every HoleyGrid checks its cells once, when it is built; above and beside
+take grids or bare cell blocks (kotzig.lift's copies) and build only the
+joined grid, so the blocks' cells are checked there, once.  parse,
+serialize and verify work a row at a time, with the per-cell work in
+comprehensions, str.join, tuple.count and sum.
 """
 
 from __future__ import annotations
@@ -15,9 +20,14 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 from .errors import ParseError, ShapeError
 
 Cell = Optional[int]
+Cells = Tuple[Tuple[Cell, ...], ...]
 
 EMPTY_TOKEN = "."
 _VALUE_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
+# A row of tokens, each "." or a value, one space apart.  Python 3.10 has
+# no possessive quantifiers; a failed match backtracks only into each
+# token's digit run, whose every shorter split meets a digit, not a space.
+_ROW_RE = re.compile(r"(?:\.|0|[1-9][0-9]*)(?: (?:\.|0|[1-9][0-9]*))*")
 
 
 @dataclass(frozen=True)
@@ -30,16 +40,18 @@ class HoleyGrid:
 
     rows: int
     cols: int
-    cells: Tuple[Tuple[Cell, ...], ...]
+    cells: Cells
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ShapeError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if len(self.cells) != self.rows or any(len(row) != self.cols for row in self.cells):
+        cells = tuple(map(tuple, self.cells))  # rows given as lists still hash and compare
+        object.__setattr__(self, "cells", cells)
+        if len(cells) != self.rows or set(map(len, cells)) != {self.cols}:
             raise ShapeError("cells do not match the declared dimensions")
-        for row in self.cells:
+        for row in cells:
             for v in row:
-                if v is None:
+                if v is None or type(v) is int and v >= 0:
                     continue
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError(f"cell values must be nonnegative integers, got {v!r}")
@@ -47,7 +59,7 @@ class HoleyGrid:
     @classmethod
     def from_rows(cls, rows_data) -> "HoleyGrid":
         """Build a grid from any iterable of row iterables."""
-        cells = tuple(tuple(row) for row in rows_data)
+        cells = tuple(map(tuple, rows_data))
         if not cells:
             raise ShapeError("grid must have at least one row")
         return cls(len(cells), len(cells[0]), cells)
@@ -124,6 +136,11 @@ class VerificationReport:
     failures: Tuple[Violation, ...]
 
 
+def _tallies(lines, length: int):
+    """The filled-cell counts and the sums of lines of the given length."""
+    return zip(*[(length - line.count(None), sum(filter(None, line))) for line in lines])
+
+
 def verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
     """Check every magic axiom of grid against spec.
 
@@ -137,34 +154,20 @@ def verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
             f"grid is {grid.rows}x{grid.cols} but spec wants {spec.m}x{spec.n}"
         )
     consts = magic_constants(spec)
-    failures = []
+    # sums of integers never equal a non-integral constant, nor -1
+    row_target = int(consts.row_sum) if consts.row_integral else -1
+    col_target = int(consts.col_sum) if consts.col_integral else -1
+    cells = grid.cells
+    row_fill, row_sums = _tallies(cells, spec.n)
+    col_fill, col_sums = _tallies(zip(*cells), spec.m)  # one column alive at a time
+    values = [v for row in cells for v in row if v is not None]
 
-    row_fill = [0] * spec.m
-    col_fill = [0] * spec.n
-    row_sums = [0] * spec.m
-    col_sums = [0] * spec.n
-    values = []
-    for i, j, v in grid.filled():
-        row_fill[i] += 1
-        col_fill[j] += 1
-        row_sums[i] += v
-        col_sums[j] += v
-        values.append(v)
-
-    for i, count in enumerate(row_fill):
-        if count != spec.r:
-            failures.append(Violation("FillCountRow", i))
-    for j, count in enumerate(col_fill):
-        if count != spec.s:
-            failures.append(Violation("FillCountCol", j))
+    failures = [Violation("FillCountRow", i) for i, c in enumerate(row_fill) if c != spec.r]
+    failures += [Violation("FillCountCol", j) for j, c in enumerate(col_fill) if c != spec.s]
     if sorted(values) != list(range(spec.total_cells)):
         failures.append(Violation("ValueMultiset"))
-    for i, total in enumerate(row_sums):
-        if total != consts.row_sum:
-            failures.append(Violation("RowSum", i))
-    for j, total in enumerate(col_sums):
-        if total != consts.col_sum:
-            failures.append(Violation("ColSum", j))
+    failures += [Violation("RowSum", i) for i, total in enumerate(row_sums) if total != row_target]
+    failures += [Violation("ColSum", j) for j, total in enumerate(col_sums) if total != col_target]
 
     row_constant = row_sums[0] if len(set(row_sums)) == 1 else None
     col_constant = col_sums[0] if len(set(col_sums)) == 1 else None
@@ -203,21 +206,30 @@ def cyclic_run_start(diagonals, modulus: int) -> int:
     return next(d for d in diagonals if (d - 1) % modulus not in diagonals)
 
 
-def above(grids) -> HoleyGrid:
-    """Grids of one width stacked top to bottom."""
-    return HoleyGrid.from_rows(row for g in grids for row in g.cells)
+def _blocks(parts) -> list:
+    """The cells of each part: a HoleyGrid's, or a bare tuple of row
+    tuples such as kotzig.lift returns."""
+    return [p.cells if isinstance(p, HoleyGrid) else p for p in parts]
 
 
-def beside(grids) -> HoleyGrid:
-    """Grids of one height set side by side, left to right."""
-    return HoleyGrid.from_rows(chain.from_iterable(rows) for rows in zip(*(g.cells for g in grids)))
+def above(parts) -> HoleyGrid:
+    """Grids or cell blocks of one width stacked top to bottom."""
+    return HoleyGrid.from_rows(chain.from_iterable(_blocks(parts)))
+
+
+def beside(parts) -> HoleyGrid:
+    """Grids or cell blocks of one height set side by side, left to right."""
+    blocks = _blocks(parts)
+    heights = sorted({len(b) for b in blocks})
+    if len(heights) > 1:
+        raise ShapeError(f"cannot set grids of heights {heights} side by side")
+    return HoleyGrid.from_rows(chain.from_iterable(rows) for rows in zip(*blocks))
 
 
 def serialize(grid: HoleyGrid) -> str:
     """Render the grid in MRX text form (see parse for the grammar)."""
     lines = [f"{grid.rows} {grid.cols}"]
-    for row in grid.cells:
-        lines.append(" ".join(EMPTY_TOKEN if v is None else str(v) for v in row))
+    lines += [" ".join([EMPTY_TOKEN if v is None else str(v) for v in row]) for row in grid.cells]
     return "\n".join(lines) + "\n"
 
 
@@ -246,18 +258,12 @@ def parse(text: str) -> HoleyGrid:
         raise ParseError("content after last row", rows + 2)
 
     cells = []
-    for i in range(rows):
-        lineno = i + 2
-        tokens = lines[i + 1].split(" ")
+    for lineno, line in enumerate(lines[1:], 2):
+        tokens = line.split(" ")
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} tokens, got {len(tokens)}", lineno)
-        row = []
-        for tok in tokens:
-            if tok == EMPTY_TOKEN:
-                row.append(None)
-            elif _VALUE_RE.match(tok):
-                row.append(int(tok))
-            else:
-                raise ParseError(f"bad token {tok!r}", lineno)
-        cells.append(tuple(row))
+        if not _ROW_RE.fullmatch(line):
+            bad = next(tok for tok in tokens if tok != EMPTY_TOKEN and not _VALUE_RE.match(tok))
+            raise ParseError(f"bad token {bad!r}", lineno)
+        cells.append(tuple([None if tok == EMPTY_TOKEN else int(tok) for tok in tokens]))
     return HoleyGrid(rows, cols, tuple(cells))

@@ -619,7 +619,8 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     """
     _mrs_gate(a, b, c)
     if a % 2 == 0:
-        return lift(_closed_rectangle(a, b), lambda i, j: (i + j) % 2, kotzig(2, c))
+        return [HoleyGrid(a, b, cells)
+                for cells in lift(_closed_rectangle(a, b), lambda i, j: (i + j) % 2, kotzig(2, c))]
     return _searched("mrs", (a, b, c), None, cache,
                      lambda: _search_rectangles(a, b, c, budget, f"MRS({a},{b};{c})"))
 

@@ -5,7 +5,8 @@ They exist exactly when s is even or k is odd (with the one-column case
 degenerate), and the constructions here are the canonical ones: an
 identity/reversal pair of rows, a three-row block for odd k, and vertical
 stacking of those blocks.  lift() routes shifted copies of a magic grid
-through one; every construction that multiplies a grid goes through it.
+through one; every construction that multiplies a grid goes through it,
+and gets back the copies' cells, which it joins or wraps as grids.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from .errors import ParityError
-from .grid import HoleyGrid
+from .grid import Cells, HoleyGrid
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,12 @@ def kotzig(s: int, k: int) -> KotzigArray:
 
 
 def lift(base: HoleyGrid, class_of: Callable[[int, int], int],
-         K: KotzigArray) -> List[HoleyGrid]:
-    """The K.k copies of a base holding 0..N-1 in its N filled cells: copy
-    t adds N * K[class_of(i, j)][t] to the value in cell (i, j).
+         K: KotzigArray) -> List[Cells]:
+    """The cells of the K.k copies of a base holding 0..N-1 in its N filled
+    cells: copy t adds N * K[class_of(i, j)][t] to the value in cell (i, j).
+    Each copy is a tuple of row tuples, not yet a HoleyGrid: callers join
+    the copies with grid.above or grid.beside, or wrap each one, and only
+    the grids they build check the cells.
 
     Every row of K permutes 0..k-1, so the copies jointly hold 0..kN-1 once
     each.  Every column of K has the same sum, so when each class meets
@@ -88,13 +92,14 @@ def lift(base: HoleyGrid, class_of: Callable[[int, int], int],
     (k-1)k/2, for each of its base cells, whatever their classes; side by
     side, the same holds with rows and columns swapped.
     """
-    n = sum(1 for _ in base.filled())
+    n = sum(len(row) - row.count(None) for row in base.cells)
     classes = [[None if v is None else class_of(i, j) for j, v in enumerate(row)]
                for i, row in enumerate(base.cells)]
+    rows = list(zip(base.cells, classes))
     copies = []
     for column in zip(*K.entries):  # K[class][t] for every class, copy t
         shift = [n * x for x in column]
-        copies.append(HoleyGrid.from_rows(
-            [None if v is None else v + shift[c] for v, c in zip(row, crow)]
-            for row, crow in zip(base.cells, classes)))
+        copies.append(tuple([
+            tuple([None if v is None else v + shift[c] for v, c in zip(row, crow)])
+            for row, crow in rows]))
     return copies

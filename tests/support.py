@@ -10,14 +10,28 @@ and the windowed kernel must match it node for node.
 reference_enumerate is the oracle's sweep as it was before its values
 were windowed the same way, which the windowed sweep must match at every
 node budget.
+reference_parse and reference_verify are grid.parse and grid.verify as
+they were before they worked a row at a time (a token and a cell at a
+time, comparing sums with Fractions); the row-wise versions must match
+their grids, errors and reports exactly.
 """
 
 import random
+import re
 from bisect import bisect_left, bisect_right
 from typing import Dict, List
 
-from holeymagic import HoleyGrid, SearchBudgetExceeded
+from holeymagic import HoleyGrid, ParseError, SearchBudgetExceeded, ShapeError
+from holeymagic.grid import (
+    EMPTY_TOKEN,
+    MagicSpec,
+    VerificationReport,
+    Violation,
+    magic_constants,
+)
 from holeymagic.oracle import EnumerationResult
+
+_VALUE_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
 def naive_check(grid: HoleyGrid, m: int, n: int, r: int, s: int) -> bool:
@@ -330,3 +344,92 @@ def reference_enumerate(m, n, r, s, witness_cap, node_budget, stop_at) -> Enumer
         row_need[i] += v
         col_need[j] += v
         start = pos + 1
+
+
+def reference_verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
+    """Check every magic axiom of grid against spec.
+
+    ok requires: r filled cells per row, s per column, filled values exactly
+    {0..mr-1} each once, and all row and column sums hitting the constants
+    from magic_constants.  row_constant/col_constant are reported whenever
+    the observed sums agree with each other, even on a failing grid.
+    """
+    if (grid.rows, grid.cols) != (spec.m, spec.n):
+        raise ShapeError(
+            f"grid is {grid.rows}x{grid.cols} but spec wants {spec.m}x{spec.n}"
+        )
+    consts = magic_constants(spec)
+    failures = []
+
+    row_fill = [0] * spec.m
+    col_fill = [0] * spec.n
+    row_sums = [0] * spec.m
+    col_sums = [0] * spec.n
+    values = []
+    for i, j, v in grid.filled():
+        row_fill[i] += 1
+        col_fill[j] += 1
+        row_sums[i] += v
+        col_sums[j] += v
+        values.append(v)
+
+    for i, count in enumerate(row_fill):
+        if count != spec.r:
+            failures.append(Violation("FillCountRow", i))
+    for j, count in enumerate(col_fill):
+        if count != spec.s:
+            failures.append(Violation("FillCountCol", j))
+    if sorted(values) != list(range(spec.total_cells)):
+        failures.append(Violation("ValueMultiset"))
+    for i, total in enumerate(row_sums):
+        if total != consts.row_sum:
+            failures.append(Violation("RowSum", i))
+    for j, total in enumerate(col_sums):
+        if total != consts.col_sum:
+            failures.append(Violation("ColSum", j))
+
+    row_constant = row_sums[0] if len(set(row_sums)) == 1 else None
+    col_constant = col_sums[0] if len(set(col_sums)) == 1 else None
+    return VerificationReport(not failures, row_constant, col_constant, tuple(failures))
+
+
+def reference_parse(text: str) -> HoleyGrid:
+    """Parse MRX text: "<rows> <cols>" header, then one line per row of
+    space-separated tokens, each "." or a canonical nonnegative decimal.
+    Exactly one space between tokens, trailing newline required.
+
+    Raises ParseError carrying the offending 1-based line number.
+    """
+    if not text.endswith("\n"):
+        raise ParseError("missing trailing newline", max(1, text.count("\n") + 1))
+    lines = text.split("\n")[:-1]
+    if not lines:
+        raise ParseError("empty input", 1)
+
+    header = lines[0].split(" ")
+    if len(header) != 2 or not all(_VALUE_RE.match(tok) for tok in header):
+        raise ParseError(f"bad header {lines[0]!r}", 1)
+    rows, cols = int(header[0]), int(header[1])
+    if rows < 1 or cols < 1:
+        raise ParseError("dimensions must be positive", 1)
+    if len(lines) < rows + 1:
+        raise ParseError(f"expected {rows} data lines, got {len(lines) - 1}", len(lines) + 1)
+    if len(lines) > rows + 1:
+        raise ParseError("content after last row", rows + 2)
+
+    cells = []
+    for i in range(rows):
+        lineno = i + 2
+        tokens = lines[i + 1].split(" ")
+        if len(tokens) != cols:
+            raise ParseError(f"expected {cols} tokens, got {len(tokens)}", lineno)
+        row = []
+        for tok in tokens:
+            if tok == EMPTY_TOKEN:
+                row.append(None)
+            elif _VALUE_RE.match(tok):
+                row.append(int(tok))
+            else:
+                raise ParseError(f"bad token {tok!r}", lineno)
+        cells.append(tuple(row))
+    return HoleyGrid(rows, cols, tuple(cells))

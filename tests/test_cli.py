@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import pathlib
@@ -53,6 +54,36 @@ def test_construct_block_set(capsys):
     code, out, _ = run(capsys, "construct", "block-set", "--a", "2", "--b", "4", "--c", "2")
     assert code == 0
     assert verify(parse(out), MagicSpec(4, 8, 4, 2)).ok
+
+
+# sha256 of stdout, frozen before grid I/O and the Kotzig lift worked a
+# row at a time; none of these commands needs a cache or a search
+BYTE_PINS = {
+    "construct two-per-column --m 100 --k 20":
+        "3a9f32298ff7051828f62683e47eaa5e2b8ae9fd7b7b3622af8e41441a60e299",
+    "construct stacked --m 3 --k 395 --s 3":
+        "72ac6e9957a55b1a6e5f278054c7d04fbe9aa0277d6f00ea713ed762949f3a24",
+    "construct nmss --m 5 --s 3 --t 41":
+        "43c3179e2980fdf63054622cc83ae108ad776a9080e31bef9a261ccfbeff5d94",
+    "construct product --m 5 --s 3 --a 2 --b 10":
+        "c57ff79b9dd5f1e70febab6041a78b2819e5c7788d0ddc793d826cacc7dc292b",
+    "construct block-set --a 4 --b 4 --c 9":
+        "fbcb216521bdd479af6a6977d32eef4bdafd9f54cd19581ac5489de7cb598d82",
+    "construct five-case --m 3 --s 2":
+        "919a6d8edb8fa5e0866ba8e7a5524fe6cc764dc8a63e390e02467bd2340cfe42",
+    "ingredient mr --a 9 --b 15":
+        "3cfd407936624913f1d8fa18b5d30ff4071549339321e9f844b35233a2756945",
+    "ingredient mrs --a 4 --b 6 --c 5":
+        "ce21680de6b71d00e88961b294018dadf54805500c74de8b7a5a5808e680b113",
+}
+
+
+def test_outputs_match_byte_pins(capsys, monkeypatch):
+    monkeypatch.delenv("HOLEY_CACHE", raising=False)
+    for command, digest in BYTE_PINS.items():
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_construct_failure_exits_one(capsys):

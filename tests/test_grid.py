@@ -18,7 +18,7 @@ from holeymagic import (
     serialize,
     verify,
 )
-from holeymagic.grid import beside
+from holeymagic.grid import above, beside
 
 import golden
 import support
@@ -35,6 +35,14 @@ def test_grid_rejects_bad_cells():
         HoleyGrid.from_rows([[True]])
     with pytest.raises(ValueError):
         HoleyGrid.from_rows([["3"]])
+
+
+def test_grid_stores_tuple_rows():
+    g = HoleyGrid(2, 2, [[0, 1], [2, 3]])
+    assert g.cells == ((0, 1), (2, 3))
+    assert hash(g) == hash(HoleyGrid.from_rows([[0, 1], [2, 3]]))
+    assert g == HoleyGrid.from_rows([[0, 1], [2, 3]])
+    assert HoleyGrid(1, 2, [(None, 4)]) == HoleyGrid(1, 2, ((None, 4),))
 
 
 def test_grid_filled_order():
@@ -135,6 +143,27 @@ def test_beside_many_grids_concatenates_rows():
     assert beside(grids[:1]) == grids[0]
 
 
+def test_beside_rejects_unequal_heights():
+    square = HoleyGrid.from_rows([[0, 1], [2, 3]])
+    strip = HoleyGrid.from_rows([[4, 5]])
+    with pytest.raises(ShapeError):
+        beside([square, strip])
+    with pytest.raises(ShapeError):
+        beside([strip.cells, square.cells])
+
+
+def test_above_and_beside_take_cell_blocks():
+    top = HoleyGrid.from_rows([[0, None], [None, 1]])
+    bottom = ((2, 3),)
+    assert above([top, bottom]) == HoleyGrid.from_rows([[0, None], [None, 1], [2, 3]])
+    assert beside([top.cells, top]) == HoleyGrid.from_rows([[0, None, 0, None],
+                                                            [None, 1, None, 1]])
+    with pytest.raises(ShapeError):
+        above([top, ((2,),)])
+    with pytest.raises(ValueError):
+        beside([top, ((-1,), (0,))])  # the joined grid checks every block's cells
+
+
 def test_serialize_golden_fixed_point():
     for text in [golden.TWO_PER_COLUMN_5_2, golden.SQUARE_6_4, golden.STACKED_5_5_3]:
         assert serialize(parse(text)) == text
@@ -173,6 +202,13 @@ def test_parse_bad_tokens():
         with pytest.raises(ParseError) as exc:
             parse(f"1 2\n{row}\n")
         assert exc.value.line == 2
+    # int() reads six of these, str.isdigit() passes the superscript and
+    # int(tok, 0) reads the hex; MRX takes none
+    for tok in ["+1", "-0", "1_0", "\u0663", "\u00b9", "\t1", "1\r", "0x1"]:
+        with pytest.raises(ParseError) as exc:
+            parse(f"2 2\n0 .\n. {tok}\n")
+        assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: bad token {tok!r}"
     with pytest.raises(ParseError):
         parse("1 2\n0\n")  # too few tokens
 
@@ -197,3 +233,102 @@ def grids(draw):
 @settings(derandomize=True, max_examples=150)
 def test_roundtrip_property(g):
     assert parse(serialize(g)) == g
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message and line of the ParseError it raised."""
+    try:
+        return fn(*args)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+_BAD_TOKENS = ["", "01", "-1", "+1", "-0", "1_0", "\u0663", "\u00b9", "\t1", "1\r", "0x1",
+               "1.0", "..", "-", "None", "1 ", " "]
+
+
+def _mutated_text(text: str, rng: random.Random) -> str:
+    """text with one edit to a random line: a bad token, a token dropped
+    or added, a doubled space, or a line removed, repeated or cut short."""
+    lines = text.split("\n")[:-1]
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    kind = rng.choice(["token", "token", "drop", "add", "space", "delete", "repeat",
+                       "newline"])
+    if kind == "token":
+        tokens[rng.randrange(len(tokens))] = rng.choice(_BAD_TOKENS)
+    elif kind == "drop":
+        del tokens[rng.randrange(len(tokens))]
+    elif kind == "add":
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice([".", "0", "17"]))
+    elif kind == "space":
+        tokens.insert(rng.randrange(len(tokens) + 1), "")
+    elif kind == "delete":
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+        return "\n".join(lines) + "\n"
+    else:
+        return "\n".join(lines)
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_matches_reference():
+    rng = random.Random(10)
+    texts = [golden.TWO_PER_COLUMN_5_2, golden.TWO_PER_COLUMN_4_3, golden.TWO_PER_COLUMN_3_2,
+             golden.SQUARE_5_3, golden.STACKED_5_5_3, golden.SQUARE_6_4, golden.FIVE_CASE_3_2,
+             "", "\n", "1 1\n0", "1 1\n0\n", "1 1\n.\n\n", "2 1\n0\n"]
+    for _ in range(400):
+        text = serialize(support.random_grid(rng))
+        texts.append(text)
+        texts += [_mutated_text(text, rng) for _ in range(3)]
+    errors = 0
+    for text in texts:
+        expected = _outcome(support.reference_parse, text)
+        assert _outcome(parse, text) == expected, text
+        errors += isinstance(expected, tuple)
+    assert errors > 1000 and len(texts) - errors >= 400  # both outcomes well covered
+
+
+def _specs(rows: int, cols: int) -> list:
+    """Every MagicSpec with these dimensions."""
+    return [MagicSpec(rows, cols, r, rows * r // cols) for r in range(1, cols + 1)
+            if (rows * r) % cols == 0 and rows * r // cols <= rows]
+
+
+def test_verify_matches_reference():
+    rng = random.Random(11)
+    cases = []
+    for text, spec in [(golden.TWO_PER_COLUMN_5_2, MagicSpec(5, 10, 4, 2)),
+                       (golden.SQUARE_5_3, MagicSpec(5, 5, 3, 3)),
+                       (golden.STACKED_5_5_3, MagicSpec(5, 25, 15, 3)),
+                       (golden.SQUARE_6_4, MagicSpec(6, 6, 4, 4)),
+                       (golden.FIVE_CASE_3_2, MagicSpec(6, 9, 6, 4))]:
+        g = parse(text)
+        cases.append((g, spec))
+        for _ in range(150):
+            g = support.mutate(g, rng) if rng.random() < 0.7 else parse(text)
+            cases.append((g, spec))
+    for _ in range(300):
+        g = support.random_grid(rng)
+        cases.append((g, rng.choice(_specs(g.rows, g.cols))))
+    # value sets 0..mr-1 in random places, under specs whose row or
+    # column constant is not an integer
+    for m, n, r, s in [(4, 6, 3, 2), (2, 2, 1, 1), (3, 6, 2, 1), (6, 4, 2, 3)]:
+        for _ in range(40):
+            slots = rng.sample(range(m * n), m * r)
+            cells = [[None] * n for _ in range(m)]
+            for v, slot in enumerate(slots):
+                cells[slot // n][slot % n] = v
+            cases.append((HoleyGrid.from_rows(cells), MagicSpec(m, n, r, s)))
+    assert any(not magic_constants(spec).row_integral for _, spec in cases)
+    assert any(not magic_constants(spec).col_integral for _, spec in cases)
+    oks = 0
+    for g, spec in cases:
+        report = verify(g, spec)
+        assert report == support.reference_verify(g, spec), (serialize(g), spec)
+        oks += report.ok
+    assert oks > 50
+

@@ -1,6 +1,8 @@
 import pytest
 
-from holeymagic import ParityError, base_pair, base_triple, kotzig
+from holeymagic import MagicSpec, ParityError, base_pair, base_triple, kotzig, parse, verify
+from holeymagic.grid import above
+from holeymagic.kotzig import lift
 
 import golden
 
@@ -66,3 +68,17 @@ def test_exhaustive_small():
                     kotzig(s, k)
             else:
                 check_invariants(kotzig(s, k))
+
+
+def test_lift_returns_cells_of_each_copy():
+    square = parse(golden.SQUARE_5_3)  # 15 filled cells
+    copies = lift(square, lambda i, j: (j - i) % 5 - 2, kotzig(3, 5))
+    assert len(copies) == 5
+    for cells in copies:
+        assert type(cells) is tuple and all(type(row) is tuple for row in cells)
+        assert [[v is None for v in row] for row in cells] == \
+            [[v is None for v in row] for row in square.cells]
+    tower = above(copies)
+    assert sorted(v for row in tower.cells for v in row if v is not None) == list(range(75))
+    assert verify(tower, MagicSpec(25, 5, 3, 15)).ok
+
