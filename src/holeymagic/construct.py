@@ -14,12 +14,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import existence, ingredients
 from .errors import BadIngredient, NotConstructible
-from .grid import Cells, HoleyGrid, MagicSpec, beside, cyclic_run_start, is_consecutive_cyclic
+from .grid import Cells, HoleyGrid, MagicSpec, beside, cyclic_run_start
 from .ingredients import (
     DiagonalProfile,
+    _mrs_gate,
+    profile_satisfied,
     require_magic,
     require_ms,
-    require_mrs,
     two_per_column,
 )
 from .kotzig import kotzig, lift
@@ -135,27 +136,12 @@ def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGri
     ms = m * s
     bump = 4 * ms
 
-    support = require_ms(square2m, 2 * m, 2 * s)
-    low_diagonals = []
-    for d in sorted(support):
-        vals = [square2m.cells[p][(p + d) % (2 * m)] for p in range(2 * m)]
-        if max(vals) < ms:
-            if max(vals) - min(vals) != 2 * m - 1:
-                raise BadIngredient(
-                    f"low diagonal {d} of the big square is not a block of {2 * m} consecutive values"
-                )
-            low_diagonals.append(d)
-    if len(low_diagonals) != s // 2:
-        raise BadIngredient(
-            f"big square needs exactly {s // 2} diagonals below {ms}, found {len(low_diagonals)}"
-        )
-    low_values = sorted(
-        square2m.cells[p][(p + d) % (2 * m)] for d in low_diagonals for p in range(2 * m)
-    )
-    if low_values != list(range(ms)):
-        raise BadIngredient(f"low diagonals of the big square do not partition 0..{ms - 1}")
-    if not is_consecutive_cyclic(set(low_diagonals), 2 * m):
-        raise BadIngredient("low diagonals of the big square are not consecutive")
+    require_ms(square2m, 2 * m, 2 * s)
+    if not profile_satisfied(square2m, DiagonalProfile(((s // 2, 0, ms - 1),))):
+        raise BadIngredient(f"big square does not hold 0..{ms - 1} on {s // 2} consecutive "
+                            f"diagonals of {2 * m} consecutive values each")
+    # row 0 meets diagonal d in column d, and only low diagonals hold values below ms
+    low_diagonals = [d for d, v in enumerate(square2m.cells[0]) if v is not None and v < ms]
 
     require_magic(strip, MagicSpec(m, 2 * m, 2 * s, s), f"MR({m},{2 * m};{2 * s},{s}) strip")
     halves = _strip_half_diagonals(strip, m)
@@ -195,14 +181,20 @@ def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGri
 
 def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
     """MR(ac, bc; b, a) with the c members of an MRS(a,b;c) on the block
-    diagonal and every other block empty."""
-    require_mrs(rects, a, b, c)
-
+    diagonal and every other block empty.  The grid passes verify exactly
+    when the members form an MRS(a,b;c)."""
+    _mrs_gate(a, b, c)
+    if len(rects) != c:
+        raise BadIngredient(f"expected {c} rectangles, got {len(rects)}")
     cells: List[List] = [[None] * (b * c) for _ in range(a * c)]
     for k, rect in enumerate(rects):
-        for p, q, v in rect.filled():
-            cells[k * a + p][k * b + q] = v
-    return HoleyGrid.from_rows(cells)
+        if (rect.rows, rect.cols) != (a, b):
+            raise BadIngredient(f"member {k} is {rect.rows}x{rect.cols}, expected {a}x{b}")
+        for p, row in enumerate(rect.cells):
+            cells[k * a + p][k * b:(k + 1) * b] = row
+    grid = HoleyGrid.from_rows(cells)
+    require_magic(grid, MagicSpec(a * c, b * c, b, a), f"MRS({a},{b};{c}) block diagonal")
+    return grid
 
 
 # The builds below run every gate before fetching any ingredient, so a

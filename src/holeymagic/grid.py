@@ -49,12 +49,17 @@ class HoleyGrid:
         object.__setattr__(self, "cells", cells)
         if len(cells) != self.rows or set(map(len, cells)) != {self.cols}:
             raise ShapeError("cells do not match the declared dimensions")
+        subclassed = False
         for row in cells:
             for v in row:
                 if v is None or type(v) is int and v >= 0:
                     continue
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError(f"cell values must be nonnegative integers, got {v!r}")
+                subclassed = True
+        if subclassed:  # an int subclass such as IntEnum may print as a name
+            object.__setattr__(self, "cells", tuple(
+                tuple(None if v is None else int(v) for v in row) for row in cells))
 
     @classmethod
     def from_rows(cls, rows_data) -> "HoleyGrid":

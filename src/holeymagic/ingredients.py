@@ -5,10 +5,12 @@ Resolution order is always the existence gate, then the catalog or a
 closed form, returned without touching the cache, then the cache, then
 deterministic backtracking search; only a searched result is stored when
 a cache is given.  Closed forms lift a small base through Kotzig arrays
-(kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3, the
-full squares MS(m;m), and MRS(a,b;c) with even sides.  Odd coprime
-rectangles, odd rectangle sets, thin squares (s < m) and profiled squares
-the closed form misses are searched.  Search failure by exhaustion raises
+(kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3, and
+the full squares MS(m;m).  Every MRS(a,b;c) is c copies of MR(a,b)
+lifted through one more Kotzig array, so a set searches only when its
+base does.  Odd coprime rectangles, thin squares (s < m) and profiled
+squares the closed form misses are searched, and the cache holds only
+those: `ms` and `mr` entries.  Search failure by exhaustion raises
 NotConstructible; running out of node budget raises SearchBudgetExceeded,
 which is inconclusive and never a nonexistence claim.
 """
@@ -42,7 +44,7 @@ from .grid import (
     serialize,
     verify,
 )
-from .kotzig import kotzig, lift
+from .kotzig import KotzigArray, base_pair, base_triple, kotzig, lift
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -156,33 +158,6 @@ def _mrs_gate(a: int, b: int, c: int) -> None:
             f"no MRS({a},{b};{c}): need 1 < a <= b, and a,b,c all odd "
             "or a,b both even and not (2,2)"
         )
-
-
-def require_mrs(rects: Sequence[HoleyGrid], a: int, b: int, c: int) -> None:
-    """Validate a magic rectangle set: c full a x b rectangles jointly
-    holding 0..abc-1 with common row sum b(abc-1)/2 and column sum
-    a(abc-1)/2 (checked doubled to stay in integers).  Raises
-    NotConstructible when no MRS(a,b;c) exists."""
-    _mrs_gate(a, b, c)
-    if len(rects) != c:
-        raise BadIngredient(f"expected {c} rectangles, got {len(rects)}")
-    double_row = b * (a * b * c - 1)
-    double_col = a * (a * b * c - 1)
-    values = []
-    for idx, rect in enumerate(rects):
-        if (rect.rows, rect.cols) != (a, b):
-            raise BadIngredient(f"member {idx} is {rect.rows}x{rect.cols}, expected {a}x{b}")
-        for i, row in enumerate(rect.cells):
-            if any(v is None for v in row):
-                raise BadIngredient(f"member {idx} has holes")
-            if 2 * sum(row) != double_row:
-                raise BadIngredient(f"member {idx} row {i} breaks the row constant")
-        for j in range(b):
-            if 2 * sum(rect.cells[i][j] for i in range(a)) != double_col:
-                raise BadIngredient(f"member {idx} column {j} breaks the column constant")
-        values.extend(v for _, _, v in rect.filled())
-    if sorted(values) != list(range(a * b * c)):
-        raise BadIngredient(f"members do not partition 0..{a * b * c - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,66 +495,48 @@ def _search_square(m, s, profile, budget):
 # ---------------------------------------------------------------------------
 # classical full magic rectangles
 
-def _rect_problem(rows, cols, grids=1):
-    """Cells, lines and symmetry-breaking precedence pairs for `grids`
-    full rows x cols rectangles sharing one value pool.
+def _rect_problem(rows, cols):
+    """Cells, lines and symmetry-breaking precedence pairs for a full
+    rows x cols rectangle.
 
     Near-square grids fill in staircase order (rows and columns bind
     alternately); wide ones complete the short columns one at a time --
-    the crossover is empirical.  Rows and columns of each rectangle
-    permute freely, and so do the rectangles themselves, so each one is
-    pinned to the canonical form with its minimum in the corner and first
-    row/column ascending, corners increasing across rectangles.
+    the crossover is empirical.  Rows and columns permute freely, so the
+    rectangle is pinned to the canonical form with its minimum in the
+    corner and first row/column ascending.
     """
     if rows == cols or (rows >= 4 and (cols <= 8 or cols - rows <= 2)):
-        order = sorted(((i, j) for i in range(rows) for j in range(cols)),
+        cells = sorted(((i, j) for i in range(rows) for j in range(cols)),
                        key=_staircase_key)
     else:
-        order = [(i, j) for j in range(cols) for i in range(rows)]
-    cells = []
-    for g in range(grids):
-        cells.extend((g, i, j) for i, j in order)
+        cells = [(i, j) for j in range(cols) for i in range(rows)]
     index_of = {c: k for k, c in enumerate(cells)}
-    total = rows * cols * grids
+    total = rows * cols
     row2 = cols * (total - 1)
     col2 = rows * (total - 1)
     assert row2 % 2 == 0 and col2 % 2 == 0  # callers screen parity first
-    lines = []
-    for g in range(grids):
-        for i in range(rows):
-            lines.append((row2 // 2, [index_of[(g, i, j)] for j in range(cols)]))
-        for j in range(cols):
-            lines.append((col2 // 2, [index_of[(g, i, j)] for i in range(rows)]))
-    precedes = []
-    for g in range(grids):
-        corner = index_of[(g, 0, 0)]
-        for i, j in order:
-            if (i, j) != (0, 0):
-                precedes.append((corner, index_of[(g, i, j)]))
-        for j in range(1, cols - 1):
-            precedes.append((index_of[(g, 0, j)], index_of[(g, 0, j + 1)]))
-        for i in range(1, rows - 1):
-            precedes.append((index_of[(g, i, 0)], index_of[(g, i + 1, 0)]))
-        if g:
-            precedes.append((index_of[(g - 1, 0, 0)], corner))
+    lines = [(row2 // 2, [index_of[(i, j)] for j in range(cols)]) for i in range(rows)]
+    lines += [(col2 // 2, [index_of[(i, j)] for i in range(rows)]) for j in range(cols)]
+    corner = index_of[(0, 0)]
+    precedes = [(corner, index_of[c]) for c in cells if c != (0, 0)]
+    precedes += [(index_of[(0, j)], index_of[(0, j + 1)]) for j in range(1, cols - 1)]
+    precedes += [(index_of[(i, 0)], index_of[(i + 1, 0)]) for i in range(1, rows - 1)]
     return cells, lines, precedes
 
 
-def _search_rectangles(a: int, b: int, c: int, budget: int, label: str) -> List[HoleyGrid]:
-    """Search c full a x b rectangles jointly holding 0..abc-1 with shared
-    line sums, in the short orientation (transposed back when a > b)."""
+def _search_rectangle(a: int, b: int, budget: int, label: str) -> HoleyGrid:
+    """Search a full a x b magic rectangle on 0..ab-1 in the short
+    orientation (transposed back when a > b)."""
     rows, cols = min(a, b), max(a, b)
-    cells, lines, precedes = _rect_problem(rows, cols, grids=c)
-    got = _search_assignment([0] * len(cells), lines, [tuple(range(rows * cols * c))],
+    cells, lines, precedes = _rect_problem(rows, cols)
+    got = _search_assignment([0] * len(cells), lines, [tuple(range(rows * cols))],
                              _Budget(budget, label), precedes)
     if got is None:
         raise NotConstructible(f"search exhausted without finding {label}")
-    grids = [[[None] * cols for _ in range(rows)] for _ in range(c)]
-    for (g, i, j), v in zip(cells, got):
-        grids[g][i][j] = v
-    if a > b:
-        grids = [list(zip(*grid)) for grid in grids]
-    return [HoleyGrid.from_rows(grid) for grid in grids]
+    grid = [[None] * cols for _ in range(rows)]
+    for (i, j), v in zip(cells, got):
+        grid[i][j] = v
+    return HoleyGrid.from_rows(zip(*grid) if a > b else grid)
 
 
 def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
@@ -600,29 +557,50 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
     result = _closed_rectangle(a, b)
     if result is None:
         (result,) = _searched("mr", (a, b), None, cache,
-                              lambda: _search_rectangles(a, b, 1, budget, f"MR({a},{b})"))
+                              lambda: [_search_rectangle(a, b, budget, f"MR({a},{b})")])
     return result
 
 
 # ---------------------------------------------------------------------------
 # magic rectangle sets
 
+def _odd_set_class(i: int, j: int) -> int:
+    """Row of the odd sets' 8-row Kotzig array that cell (i, j) of an odd
+    base follows: T0, T1, T2 are rows 0-2, their complements rows 3-5, the
+    identity and reversal rows 6 and 7."""
+    if i < 3 and j < 3:
+        return (i + j) % 3
+    if i < 3:
+        return i + 3 * ((j - 3) % 2)
+    if j < 3:
+        return j + 3 * ((i - 3) % 2)
+    return 6 + (i + j) % 2
+
+
 def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
                         budget: int = DEFAULT_BUDGET) -> List[HoleyGrid]:
     """c full a x b rectangles jointly holding 0..abc-1 with shared row sum
     b(abc-1)/2 and column sum a(abc-1)/2.
 
-    Raises NotConstructible unless existence.mrs_exists(a, b, c).
-    Resolution: for even sides c copies of the closed-form MR(a,b) lifted
-    through kotzig(2, c) with checkerboard classes, and for odd sides
-    cache and search.
+    Raises NotConstructible unless existence.mrs_exists(a, b, c).  The set
+    is c copies of classical_rectangle(a, b) lifted through a Kotzig array
+    (kotzig.lift), so only an odd coprime base searches.  Even sides use
+    kotzig(2, c) with checkerboard classes.  Odd sides use the rows of
+    base_triple(c), their complements c-1-T, the identity and the reversal,
+    classed by _odd_set_class: the first three cells of every line of the
+    base follow T0, T1 and T2 or their three complements, and its other
+    cells, an even number, alternate between two rows that sum to c-1.
+    So every line of every copy gains the same amount.
     """
     _mrs_gate(a, b, c)
+    base = classical_rectangle(a, b, cache=cache, budget=budget)
     if a % 2 == 0:
-        return [HoleyGrid(a, b, cells)
-                for cells in lift(_closed_rectangle(a, b), lambda i, j: (i + j) % 2, kotzig(2, c))]
-    return _searched("mrs", (a, b, c), None, cache,
-                     lambda: _search_rectangles(a, b, c, budget, f"MRS({a},{b};{c})"))
+        class_of, K = lambda i, j: (i + j) % 2, kotzig(2, c)
+    else:
+        triple = base_triple(c).entries
+        rows = triple + tuple(tuple(c - 1 - x for x in row) for row in triple)
+        class_of, K = _odd_set_class, KotzigArray(8, c, rows + base_pair(c).entries)
+    return [HoleyGrid(a, b, cells) for cells in lift(base, class_of, K)]
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +627,6 @@ def _cache_key(kind: str, params: Sequence[int], profile: Optional[DiagonalProfi
     return " ".join([kind, *map(str, params), tag])
 
 
-def _blocks_for(kind: str, params: Sequence[int]) -> int:
-    return params[2] if kind == "mrs" else 1
-
-
 def _validate_entry(kind, params, profile, grids):
     """Re-verify a cache entry with the constructors' validators; any
     failure means the file was tampered."""
@@ -666,8 +640,6 @@ def _validate_entry(kind, params, profile, grids):
             (grid,) = grids
             a, b = params
             require_magic(grid, MagicSpec(a, b, b, a), f"MR({a},{b}) ingredient")
-        elif kind == "mrs":
-            require_mrs(grids, *params)
         else:
             raise BadIngredient(f"unknown cache kind {kind!r}")
     except Exception as exc:
@@ -748,18 +720,11 @@ class IngredientCache:
                 raise CorruptCache(f"{self.path}: expected KEY line at line {pos + 1}")
             key = head[4:]
             parts = key.split(" ")
-            if len(parts) < 2:
+            if len(parts) < 2 or not all(p.isascii() and p.isdigit() for p in parts[1:-1]):
                 raise CorruptCache(f"{self.path}: malformed key {key!r}")
-            kind, params = parts[0], parts[1:-1]
-            try:
-                nblocks = _blocks_for(kind, [int(p) for p in params])
-            except (ValueError, IndexError) as exc:
-                raise CorruptCache(f"{self.path}: malformed key {key!r}") from exc
             pos += 1
             texts = []
-            for _ in range(nblocks):
-                if pos >= len(lines):
-                    raise CorruptCache(f"{self.path}: truncated entry for {key!r}")
+            while pos < len(lines) and not lines[pos].startswith("KEY "):
                 header = lines[pos].split()
                 if len(header) != 2 or not all(t.isascii() and t.isdigit() for t in header):
                     raise CorruptCache(f"{self.path}: bad block header at line {pos + 1}")
@@ -769,5 +734,7 @@ class IngredientCache:
                     raise CorruptCache(f"{self.path}: truncated block for {key!r}")
                 texts.append("".join(block))
                 pos += nrows + 1
+            if not texts:
+                raise CorruptCache(f"{self.path}: truncated entry for {key!r}")
             entries[key] = texts
         return entries

@@ -50,10 +50,15 @@ def test_construct_product(capsys):
     assert verify(parse(out), MagicSpec(15, 25, 15, 9)).ok
 
 
-def test_construct_block_set(capsys):
+def test_construct_block_set(capsys, monkeypatch):
     code, out, _ = run(capsys, "construct", "block-set", "--a", "2", "--b", "4", "--c", "2")
     assert code == 0
     assert verify(parse(out), MagicSpec(4, 8, 4, 2)).ok
+    # the README's odd set: MR(3,5) lifted to MRS(3,5;3)
+    monkeypatch.delenv("HOLEY_CACHE", raising=False)
+    _, built, _ = run(capsys, "construct", "block-set", "--a", "3", "--b", "5", "--c", "3")
+    monkeypatch.setattr("sys.stdin", io.StringIO(built))
+    assert run(capsys, "verify", "--spec", "9", "15", "5", "3")[:2] == (0, "OK row=110 col=66\n")
 
 
 # sha256 of stdout, frozen before grid I/O and the Kotzig lift worked a

@@ -1,3 +1,4 @@
+import enum
 import pickle
 import random
 
@@ -43,6 +44,24 @@ def test_grid_stores_tuple_rows():
     assert hash(g) == hash(HoleyGrid.from_rows([[0, 1], [2, 3]]))
     assert g == HoleyGrid.from_rows([[0, 1], [2, 3]])
     assert HoleyGrid(1, 2, [(None, 4)]) == HoleyGrid(1, 2, ((None, 4),))
+
+
+class Color(enum.IntEnum):
+    A = 7
+
+
+class Named(int):
+    def __str__(self):
+        return "seven"
+
+
+def test_grid_stores_int_subclasses_as_int():
+    # Python 3.10 prints an IntEnum member as its name, which parse refuses
+    for seven in (Color.A, Named(7)):
+        g = HoleyGrid.from_rows([[0, seven], [None, 3]])
+        assert [type(v) for row in g.cells for v in row] == [int, int, type(None), int]
+        assert serialize(g) == "2 2\n0 7\n. 3\n"
+        assert parse(serialize(g)) == g
 
 
 def test_grid_filled_order():

@@ -23,13 +23,13 @@ from holeymagic import (
     verify,
 )
 from holeymagic import existence, ingredients
+from holeymagic.construct import block_set
 from holeymagic.ingredients import (
-    _search_rectangles,
+    _search_rectangle,
     _search_square,
     classical_rectangle,
     magic_rectangle_set,
     magic_square_holes,
-    require_mrs,
     require_ms,
 )
 
@@ -204,7 +204,20 @@ def test_closed_form_even_rectangle_sets():
     for a in range(2, 31, 2):
         for b in range(max(a, 4), 31, 2):
             for c in range(1, 6):
-                require_mrs(magic_rectangle_set(a, b, c, budget=1), a, b, c)
+                block_set(a, b, c, magic_rectangle_set(a, b, c, budget=1))
+
+
+def test_closed_form_odd_rectangle_sets():
+    built = 0
+    for a in range(3, 16, 2):
+        for b in range(a, 16, 2):
+            if math.gcd(a, b) < 3:
+                continue
+            for c in range(1, 10, 2):
+                grid = block_set(a, b, c, magic_rectangle_set(a, b, c, budget=1))
+                assert support.naive_check(grid, a * c, b * c, b, a), (a, b, c)
+                built += 1
+    assert built == 55  # 11 pairs, five counts each
 
 
 def test_closed_form_full_squares():
@@ -272,6 +285,12 @@ def test_cache_rejects_malformed_file(tmp_path):
     path.write_text("KEY ms 5 3 -\n5 5\ntruncated\n")
     with pytest.raises(CorruptCache):
         IngredientCache(path).load("ms", (5, 3))
+    path.write_text("KEY ms 5 3 -\n")
+    with pytest.raises(CorruptCache):
+        IngredientCache(path).load("ms", (5, 3))
+    path.write_text("KEY ms five 3 -\n" + golden.SQUARE_5_3)
+    with pytest.raises(CorruptCache):
+        IngredientCache(path).load("ms", (5, 3))
     # "²" passes str.isdigit() but int() rejects it
     path.write_text("KEY mr 4 6 -\n² 6\n")
     with pytest.raises(CorruptCache):
@@ -282,9 +301,46 @@ def test_cache_rejects_malformed_file(tmp_path):
 
 
 def test_cached_mrs_roundtrip(tmp_path):
-    cache = IngredientCache(tmp_path / "ing.mrx")
-    rects = magic_rectangle_set(3, 3, 3, cache=cache)
-    assert cache.load("mrs", (3, 3, 3)) == rects
+    # a set lifts its base rectangle, so only the searched base is cached
+    path = tmp_path / "ing.mrx"
+    rects = magic_rectangle_set(3, 5, 3, cache=path)
+    assert [line for line in path.read_text().splitlines()
+            if line.startswith("KEY ")] == ["KEY mr 3 5 -"]
+    assert IngredientCache(path).load("mr", (3, 5)) == [classical_rectangle(3, 5)]
+    # one node fails any search: the base comes from the cache
+    assert magic_rectangle_set(3, 5, 3, cache=path, budget=1) == rects
+
+
+# A three-member set as older versions cached it, under its own key kind.
+OLD_MRS_3_3_3_ENTRY = """\
+KEY mrs 3 3 3 -
+3 3
+0 13 26
+14 24 1
+25 2 12
+3 3
+3 16 20
+17 18 4
+19 5 15
+3 3
+6 10 23
+11 21 7
+22 8 9
+"""
+
+
+def test_cache_with_old_mrs_entry_serves_other_keys(tmp_path):
+    path = tmp_path / "ing.mrx"
+    rect = classical_rectangle(3, 5)
+    path.write_text("KEY mr 3 5 -\n" + serialize(rect) + OLD_MRS_3_3_3_ENTRY
+                    + "KEY ms 5 3 -\n" + golden.SQUARE_5_3)
+    cache = IngredientCache(path)
+    assert cache.load("mr", (3, 5)) == [rect]
+    assert cache.load("ms", (5, 3)) == [parse(golden.SQUARE_5_3)]
+    # a store keeps the old entry as it was
+    cache.store("ms", (7, 4), [magic_square_holes(7, 4)])
+    assert OLD_MRS_3_3_3_ENTRY in path.read_text()
+    assert cache.load("mr", (3, 5)) == [rect]
 
 
 def _closed_forms(path):
@@ -321,10 +377,11 @@ def test_only_searched_ingredients_touch_the_cache(tmp_path, monkeypatch):
     _closed_forms(cache)
     assert calls == []
 
+    # a set touches only its base rectangle's entry
     searched = [lambda: [magic_square_holes(7, 4, cache=cache)],
-                lambda: [classical_rectangle(3, 5, cache=cache)],
-                lambda: magic_rectangle_set(3, 3, 1, cache=cache)]
-    keys = [("ms", (7, 4)), ("mr", (3, 5)), ("mrs", (3, 3, 1))]
+                lambda: [classical_rectangle(3, 7, cache=cache)],
+                lambda: magic_rectangle_set(3, 5, 3, cache=cache)]
+    keys = [("ms", (7, 4)), ("mr", (3, 7)), ("mr", (3, 5))]
     first = [fetch() for fetch in searched]
     assert calls == [(op, *key) for key in keys for op in ("load", "store")]
     # a hit neither searches nor stores
@@ -389,21 +446,6 @@ SEARCHED_MR_4_6 = """\
 20 18 16 8 3 4
 """
 
-SEARCHED_MRS_3_3_3 = """\
-3 3
-0 13 26
-14 24 1
-25 2 12
-3 3
-3 16 20
-17 18 4
-19 5 15
-3 3
-6 10 23
-11 21 7
-22 8 9
-"""
-
 SEARCHED_MS_8_4_PROFILE = """\
 8 8
 . . . . 0 8 23 31
@@ -440,14 +482,12 @@ PINNED_SEARCHES = [
     # ingredient named when the budget runs out)
     # MR(4,6) has a closed form, so its pin calls the rectangle search that
     # odd coprime sides still use
-    (lambda budget: _search_rectangles(4, 6, 1, budget, "MR(4,6)"), 7_836, SEARCHED_MR_4_6,
+    (lambda budget: [_search_rectangle(4, 6, budget, "MR(4,6)")], 7_836, SEARCHED_MR_4_6,
      "MR(4,6)"),
-    (lambda budget: magic_rectangle_set(3, 3, 3, budget=budget), 28_801, SEARCHED_MRS_3_3_3,
-     "MRS(3,3;3)"),
     (lambda budget: [magic_square_holes(8, 4, DiagonalProfile(((1, 0, 7),)), budget=budget)],
      213_750, SEARCHED_MS_8_4_PROFILE, "MS(8;4) profile 1:0:7"),
     # wide rows, where the kernel skips most candidates in one step
-    (lambda budget: _search_rectangles(3, 11, 1, budget, "MR(3,11)"), 162_588,
+    (lambda budget: [_search_rectangle(3, 11, budget, "MR(3,11)")], 162_588,
      SEARCHED_MR_3_11, "MR(3,11)"),
     # layered search: three stages share one budget
     (lambda budget: [_search_square(7, 4, None, budget)], 35_815, SEARCHED_MS_7_4, "MS(7;4)"),
@@ -455,7 +495,7 @@ PINNED_SEARCHES = [
 
 
 @pytest.mark.parametrize("search, nodes, frozen, ingredient", PINNED_SEARCHES,
-                         ids=["mr_4_6", "mrs_3_3_3", "ms_8_4_profile", "mr_3_11", "ms_7_4"])
+                         ids=["mr_4_6", "ms_8_4_profile", "mr_3_11", "ms_7_4"])
 def test_pinned_node_counts_and_outputs(search, nodes, frozen, ingredient):
     assert "".join(serialize(g) for g in search(nodes)) == frozen
     with pytest.raises(SearchBudgetExceeded) as info:
@@ -471,7 +511,7 @@ def test_deep_search_does_not_recurse():
     # the search first passes depth 1000 (of 1400 cells) after about 355k
     # nodes and succeeds after 375 103; a recursive kernel dies on the way
     limit = sys.getrecursionlimit()
-    (grid,) = _search_rectangles(2, 700, 1, 400_000, "MR(2,700)")
+    grid = _search_rectangle(2, 700, 400_000, "MR(2,700)")
     assert verify(grid, MagicSpec(2, 700, 700, 2)).ok
     assert sys.getrecursionlimit() == limit
 
@@ -490,9 +530,7 @@ def _differential_searches():
     for a in range(1, 8):
         for b in range(1, 20):
             if existence.mr_exists(a, b):
-                yield f"mr_{a}_{b}", lambda n, a=a, b=b: _search_rectangles(a, b, 1, n, "MR")
-    for a, b, c in [(3, 3, 3), (3, 3, 5), (3, 5, 3), (3, 7, 3), (5, 5, 3), (2, 4, 2), (4, 4, 3)]:
-        yield f"mrs_{a}_{b}_{c}", lambda n, a=a, b=b, c=c: _search_rectangles(a, b, c, n, "MRS")
+                yield f"mr_{a}_{b}", lambda n, a=a, b=b: [_search_rectangle(a, b, n, "MR")]
 
 
 DIFFERENTIAL_SEARCHES = list(_differential_searches())
