@@ -10,7 +10,8 @@ the full squares MS(m;m).  Every MRS(a,b;c) is c copies of MR(a,b)
 lifted through one more Kotzig array, so a set searches only when its
 base does.  Odd coprime rectangles, thin squares (s < m) and profiled
 squares the closed form misses are searched, and the cache holds only
-those: `ms` and `mr` entries.  Search failure by exhaustion raises
+those: `ms` and `mr` entries of one grid each.  A diagonal profile is one
+run of the lowest values.  Search failure by exhaustion raises
 NotConstructible; running out of node budget raises SearchBudgetExceeded,
 which is inconclusive and never a nonexistence claim.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -72,31 +74,27 @@ _CATALOG_MS = {
 
 @dataclass(frozen=True)
 class DiagonalProfile:
-    """Structural demand on a holey magic square's diagonals.
+    """Where a holey magic square keeps its lowest values.
 
-    Each run (q, lo, hi) requires q cyclically consecutive support
-    diagonals that jointly partition {lo..hi}, every diagonal holding a
-    block of (hi-lo+1)/q consecutive values.
+    The one run (q, 0, hi) requires q cyclically consecutive support
+    diagonals that jointly hold 0..hi, every diagonal holding a block of
+    (hi+1)/q consecutive values.  Empty, multi-run and lo > 0 profiles
+    raise ValueError.
     """
 
     required_runs: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
-        seen = []
-        for q, lo, hi in self.required_runs:
-            if q < 1 or lo < 0 or hi < lo:
-                raise ValueError(f"bad profile run {(q, lo, hi)}")
-            if (hi - lo + 1) % q != 0:
-                raise ValueError(f"run {(q, lo, hi)} does not split into {q} equal blocks")
-            for plo, phi in seen:
-                if lo <= phi and plo <= hi:
-                    raise ValueError("profile runs overlap")
-            seen.append((lo, hi))
+        if len(self.required_runs) != 1:
+            raise ValueError(f"a profile is one run (q, 0, hi), got {self.required_runs}")
+        ((q, lo, hi),) = self.required_runs
+        if q < 1 or lo != 0 or hi < lo:
+            raise ValueError(f"bad profile run {(q, lo, hi)}")
+        if (hi + 1) % q != 0:
+            raise ValueError(f"run {(q, lo, hi)} does not split into {q} equal blocks")
 
     def tag(self) -> str:
-        if not self.required_runs:
-            return "-"
-        return ",".join(f"{q}:{lo}:{hi}" for q, lo, hi in self.required_runs)
+        return ":".join(map(str, self.required_runs[0]))
 
 
 def profile_satisfied(grid: HoleyGrid, profile: DiagonalProfile) -> bool:
@@ -108,21 +106,18 @@ def profile_satisfied(grid: HoleyGrid, profile: DiagonalProfile) -> bool:
     diags: Dict[int, List[int]] = {}
     for i, j, v in grid.filled():
         diags.setdefault((j - i) % n, []).append(v)
-    for q, lo, hi in profile.required_runs:
-        block = (hi - lo + 1) // q
-        members = [d for d, vals in diags.items() if min(vals) >= lo and max(vals) <= hi]
-        if len(members) != q:
+    ((q, _, hi),) = profile.required_runs
+    block = (hi + 1) // q
+    members = [d for d, vals in diags.items() if max(vals) <= hi]
+    if len(members) != q:
+        return False
+    if sorted(v for d in members for v in diags[d]) != list(range(hi + 1)):
+        return False
+    for d in members:
+        vals = diags[d]
+        if len(vals) != block or max(vals) - min(vals) != block - 1:
             return False
-        union = sorted(v for d in members for v in diags[d])
-        if union != list(range(lo, hi + 1)):
-            return False
-        for d in members:
-            vals = diags[d]
-            if len(vals) != block or max(vals) - min(vals) != block - 1:
-                return False
-        if not is_consecutive_cyclic(set(members), n):
-            return False
-    return True
+    return is_consecutive_cyclic(set(members), n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +207,20 @@ def _siamese(g: int) -> HoleyGrid:
 
 
 def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
-    """Full MR(a,b) on 0..ab-1 for a pair mr_exists allows with a, b > 1,
-    or None when both sides are odd and coprime.
+    """Full MR(a,b) on 0..ab-1 for a pair mr_exists allows, or None when
+    both sides are odd, coprime and greater than 1.
 
     Even sides stack a/2 copies of MR(2,b) (its columns as classes; b = 2
     transposes MR(2,a)).  Odd sides with g = gcd(a,b) >= 3 stack a/g
     copies of the Siamese MR(g,g), then set b/g copies of that MR(a,g)
-    side by side (its rows as classes).
+    side by side (its rows as classes); MR(1,1) lifts the Siamese MR(1,1).
     """
     if a % 2 == 0:
         if b == 2:
             return HoleyGrid.from_rows(zip(*_closed_rectangle(2, a).cells))
         return above(lift(two_per_column(2, b // 2), lambda i, j: j, kotzig(b, a // 2)))
     g = math.gcd(a, b)
-    if g == 1:
+    if g == 1 and a > 1:
         return None
     tall = above(lift(_siamese(g), lambda i, j: j, kotzig(g, a // g)))
     return beside(lift(tall, lambda i, j: i, kotzig(a, b // g)))
@@ -369,21 +364,14 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
 # ---------------------------------------------------------------------------
 # holey magic squares
 
-def _ms_anchored(m, s, runs, budget):
-    """Search MS(m;s) with the given block runs anchored consecutively on
-    the canonical support {m-s..m-1}, trying every anchor in order.
-
-    Empty runs mean a fully unrestricted value pool.  Returns None when
-    every anchor's space is exhausted.
+def _ms_anchored(m, s, q, budget):
+    """Search MS(m;s) with its lowest qm values on q <= s consecutive
+    diagonals of the canonical support {m-s..m-1}, the b-th holding
+    bm..bm+m-1, trying every anchor in order; the rest of the support
+    shares the other values (q = 0: all of them).  Returns None when every
+    anchor's space is exhausted.
     """
     total = m * s
-    q_total = sum(q for q, _, _ in runs)
-    if q_total > s:
-        return None
-    for q, lo, hi in runs:
-        if (hi - lo + 1) // q != m or hi >= total:
-            return None
-
     support = list(range(m - s, m))
     target2 = s * (total - 1)
     if target2 % 2:
@@ -399,31 +387,20 @@ def _ms_anchored(m, s, runs, budget):
     for idx, (i, j) in enumerate(cells):
         lines[i][1].append(idx)
         lines[m + j][1].append(idx)
-    if q_total == 0:
-        anchors = range(1)  # no runs to place, every anchor is the same
+    if q == 0:
+        anchors = range(1)  # no blocks to place, every anchor is the same
     elif s == m:
-        anchors = range(s)  # full support wraps, so runs may too
+        anchors = range(s)  # full support wraps, so the blocks may too
     else:
-        anchors = range(s - q_total + 1)
+        anchors = range(s - q + 1)
 
+    domains = [tuple(range(b * m, (b + 1) * m)) for b in range(q)]
+    if q < s:
+        domains.append(tuple(range(q * m, total)))
     for anchor in anchors:
-        dom_of_diag = {}
-        domains: List[Tuple[int, ...]] = []
-        slot = anchor
-        assigned = set()
-        for q, lo, hi in runs:
-            for b in range(q):
-                d = support[(slot + b) % s]
-                domains.append(tuple(range(lo + b * m, lo + (b + 1) * m)))
-                dom_of_diag[d] = len(domains) - 1
-                assigned.update(domains[-1])
-            slot += q
-        leftover = tuple(v for v in range(total) if v not in assigned)
-        if leftover:
-            domains.append(leftover)
-            for d in support:
-                if d not in dom_of_diag:
-                    dom_of_diag[d] = len(domains) - 1
+        dom_of_diag = {support[(anchor + b) % s]: b for b in range(q)}
+        for d in support:
+            dom_of_diag.setdefault(d, q)
 
         cell_domain = [dom_of_diag[(j - i) % m] for i, j in cells]
         got = _search_assignment(cell_domain, lines, domains, budget)
@@ -441,7 +418,7 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
 
     Raises NotConstructible unless existence.ms_exists(m, s).  Resolution:
     catalog, the closed-form full square when s = m and it meets the
-    profile, then cache and search: anchored on the profile's runs, or
+    profile, then cache and search: anchored on the profile's run, or
     layered (all diagonals as value blocks, then all but two, then free).
     """
     if m < 1 or s < 1:
@@ -450,12 +427,6 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         raise NotConstructible(
             f"no MS({m};{s}): need m=s=1 or 3 <= s <= m with s even or m odd"
         )
-    if m == 1:
-        grid = HoleyGrid.from_rows([[0]])
-        if profile is not None and not profile_satisfied(grid, profile):
-            raise NotConstructible("MS(1;1) cannot satisfy the requested profile")
-        return grid
-
     text = _CATALOG_MS.get((m, s))
     if text is not None:
         grid = parse(text)
@@ -463,18 +434,18 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         grid = _closed_rectangle(m, m) if s == m else None
     if grid is not None and (profile is None or profile_satisfied(grid, profile)):
         return grid
-    (grid,) = _searched("ms", (m, s), profile, cache,
-                        lambda: [_search_square(m, s, profile, budget)])
-    return grid
+    return _searched("ms", (m, s), profile, cache,
+                     lambda: _search_square(m, s, profile, budget))
 
 
 def _search_square(m, s, profile, budget):
-    """Search MS(m;s) anchored on the profile's runs, or layered when there
-    is no profile."""
+    """Search MS(m;s) with the profile's q blocks anchored, or layered when
+    there is no profile: s blocks, then s - 2, then none."""
     label = f"MS({m};{s})" + (f" profile {profile.tag()}" if profile is not None else "")
     b = _Budget(budget, label)
     if profile is not None:
-        grid = _ms_anchored(m, s, profile.required_runs, b)
+        ((q, _, hi),) = profile.required_runs
+        grid = _ms_anchored(m, s, q, b) if q <= s and hi + 1 == q * m else None
         if grid is None:
             raise NotConstructible(
                 f"no MS({m};{s}) with diagonal profile {profile.tag()} "
@@ -482,14 +453,11 @@ def _search_square(m, s, profile, budget):
             )
         return grid
     # s < m here: the full square has a closed form
-    grid = _ms_anchored(m, s, ((s, 0, m * s - 1),), b)
-    if grid is None:
-        grid = _ms_anchored(m, s, ((s - 2, 0, m * (s - 2) - 1),), b)
-    if grid is None:
-        grid = _ms_anchored(m, s, (), b)
-    if grid is None:
-        raise NotConstructible(f"search exhausted without finding MS({m};{s})")
-    return grid
+    for q in (s, s - 2, 0):
+        grid = _ms_anchored(m, s, q, b)
+        if grid is not None:
+            return grid
+    raise NotConstructible(f"search exhausted without finding MS({m};{s})")
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +519,10 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
         raise NotConstructible(
             f"no MR({a},{b}): need a = b (mod 2), a+b > 5 and a,b > 1"
         )
-    if a == 1:
-        return HoleyGrid.from_rows([[0]])
-
     result = _closed_rectangle(a, b)
     if result is None:
-        (result,) = _searched("mr", (a, b), None, cache,
-                              lambda: [_search_rectangle(a, b, budget, f"MR({a},{b})")])
+        result = _searched("mr", (a, b), None, cache,
+                           lambda: _search_rectangle(a, b, budget, f"MR({a},{b})"))
     return result
 
 
@@ -606,8 +571,8 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
 # ---------------------------------------------------------------------------
 # persistent cache
 
-def _searched(kind, params, profile, cache, search) -> List[HoleyGrid]:
-    """The grids of a searched ingredient: the cache's entry when `cache`
+def _searched(kind, params, profile, cache, search) -> HoleyGrid:
+    """The grid of a searched ingredient: the cache's entry when `cache`
     (an IngredientCache or a path, or None for no cache) holds the key,
     else search(), stored in the cache.  The only code that touches the
     cache; catalog and closed-form ingredients never reach it."""
@@ -615,11 +580,11 @@ def _searched(kind, params, profile, cache, search) -> List[HoleyGrid]:
         return search()
     if not isinstance(cache, IngredientCache):
         cache = IngredientCache(cache)
-    grids = cache.load(kind, params, profile)
-    if grids is None:
-        grids = search()
-        cache.store(kind, params, grids, profile)
-    return grids
+    grid = cache.load(kind, params, profile)
+    if grid is None:
+        grid = search()
+        cache.store(kind, params, grid, profile)
+    return grid
 
 
 def _cache_key(kind: str, params: Sequence[int], profile: Optional[DiagonalProfile]) -> str:
@@ -627,17 +592,15 @@ def _cache_key(kind: str, params: Sequence[int], profile: Optional[DiagonalProfi
     return " ".join([kind, *map(str, params), tag])
 
 
-def _validate_entry(kind, params, profile, grids):
+def _validate_entry(kind, params, profile, grid):
     """Re-verify a cache entry with the constructors' validators; any
     failure means the file was tampered."""
     try:
         if kind == "ms":
-            (grid,) = grids
             require_ms(grid, *params)
             if profile is not None and not profile_satisfied(grid, profile):
                 raise BadIngredient(f"violates profile {profile.tag()}")
         elif kind == "mr":
-            (grid,) = grids
             a, b = params
             require_magic(grid, MagicSpec(a, b, b, a), f"MR({a},{b}) ingredient")
         else:
@@ -649,43 +612,45 @@ def _validate_entry(kind, params, profile, grids):
 class IngredientCache:
     """Human-inspectable file of searched ingredients.
 
-    Records are a KEY line ("KEY <kind> <params...> <profile-tag>") followed
-    by the entry's MRX blocks.  Stores rewrite the whole file atomically, so
-    readers never observe torn writes.  Every load and store parses the
-    file afresh; it holds only searched ingredients, so it stays small.
+    Each entry is a KEY line ("KEY <kind> <params...> <profile-tag>") and
+    one MRX grid.  The file is split at KEY lines only; parse reads a grid
+    when its key loads, so a bad entry fails its own key alone, and stores
+    keep other entries byte for byte (old multi-grid `mrs` ones too).
+    Stores rewrite the file atomically, so readers never see torn writes.
+    Every load and store reads the file afresh; it stays small.
     """
 
     def __init__(self, path):
         self.path = str(path)
 
     def load(self, kind, params, profile=None):
-        """Grids for the key, or None on a miss.  Entries re-verify on load;
+        """The key's grid, or None on a miss.  Entries re-verify on load;
         tampering raises CorruptCache."""
-        entries = self._read()
-        texts = entries.get(_cache_key(kind, params, profile))
-        if texts is None:
+        text = self._read().get(_cache_key(kind, params, profile))
+        if text is None:
             return None
         try:
-            grids = [parse(t) for t in texts]
+            grid = parse(text)
         except Exception as exc:
             raise CorruptCache(f"unparseable cache entry for {kind} {params}: {exc}") from exc
-        _validate_entry(kind, tuple(params), profile, grids)
-        return grids
+        _validate_entry(kind, tuple(params), profile, grid)
+        return grid
 
-    def store(self, kind, params, grids, profile=None):
+    def store(self, kind, params, grid, profile=None):
         """Add or replace the key's entry; a no-op when the file already
-        holds the same texts under the key."""
+        holds the same text under the key."""
         key = _cache_key(kind, params, profile)
-        texts = [serialize(g) for g in grids]
+        text = serialize(grid)
         entries = self._read()
-        if entries.get(key) == texts:
+        if entries.get(key) == text:
             return
-        entries[key] = texts
-        lines = []
-        for key, texts in entries.items():
-            lines.append(f"KEY {key}\n")
-            lines.extend(texts)
-        payload = "".join(lines)
+        entries[key] = text
+        parts = []
+        for key, text in entries.items():
+            parts += [f"KEY {key}\n", text]
+            if text and not text.endswith("\n"):  # a cut last line must not swallow a KEY
+                parts.append("\n")
+        payload = "".join(parts)
         try:
             directory = os.path.dirname(self.path) or "."
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ingredients-")
@@ -700,8 +665,8 @@ class IngredientCache:
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
 
-    def _read(self) -> Dict[str, List[str]]:
-        """The file's entries, parsed afresh."""
+    def _read(self) -> Dict[str, str]:
+        """The file's entries, key to text, read afresh."""
         try:
             with open(self.path, "r") as fh:
                 raw = fh.read()
@@ -711,30 +676,14 @@ class IngredientCache:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CorruptCache(f"{self.path}: undecodable bytes: {exc}") from exc
-        entries: Dict[str, List[str]] = {}
-        lines = raw.splitlines(keepends=True)
-        pos = 0
-        while pos < len(lines):
-            head = lines[pos].rstrip("\n")
-            if not head.startswith("KEY "):
-                raise CorruptCache(f"{self.path}: expected KEY line at line {pos + 1}")
-            key = head[4:]
+        first, *chunks = re.split(r"(?m)^KEY ", raw)
+        if first:
+            raise CorruptCache(f"{self.path}: expected KEY line at line 1")
+        entries: Dict[str, str] = {}
+        for chunk in chunks:
+            key, _, text = chunk.partition("\n")
             parts = key.split(" ")
             if len(parts) < 2 or not all(p.isascii() and p.isdigit() for p in parts[1:-1]):
                 raise CorruptCache(f"{self.path}: malformed key {key!r}")
-            pos += 1
-            texts = []
-            while pos < len(lines) and not lines[pos].startswith("KEY "):
-                header = lines[pos].split()
-                if len(header) != 2 or not all(t.isascii() and t.isdigit() for t in header):
-                    raise CorruptCache(f"{self.path}: bad block header at line {pos + 1}")
-                nrows = int(header[0])
-                block = lines[pos:pos + nrows + 1]
-                if len(block) != nrows + 1:
-                    raise CorruptCache(f"{self.path}: truncated block for {key!r}")
-                texts.append("".join(block))
-                pos += nrows + 1
-            if not texts:
-                raise CorruptCache(f"{self.path}: truncated entry for {key!r}")
-            entries[key] = texts
+            entries[key] = text
         return entries

@@ -57,7 +57,7 @@ def test_square_existence_gates():
     with pytest.raises(NotConstructible):
         magic_square_holes(3, 4)  # s > m
     with pytest.raises(NotConstructible):
-        magic_square_holes(1, 1, DiagonalProfile(((1, 1, 2),)))
+        magic_square_holes(1, 1, DiagonalProfile(((1, 0, 1),)))
     with pytest.raises(ValueError):
         magic_square_holes(0, 1)
 
@@ -94,9 +94,12 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         DiagonalProfile(((2, 0, 4),))  # five values split in two
     with pytest.raises(ValueError):
-        DiagonalProfile(((1, 0, 5), (1, 3, 8)))  # overlap
-    assert DiagonalProfile(()).tag() == "-"
-    assert DiagonalProfile(((2, 0, 11), (1, 12, 17))).tag() == "2:0:11,1:12:17"
+        DiagonalProfile(((1, 0, 5), (1, 6, 11)))  # two runs
+    with pytest.raises(ValueError):
+        DiagonalProfile(())
+    with pytest.raises(ValueError):
+        DiagonalProfile(((1, 12, 17),))  # not the lowest values
+    assert DiagonalProfile(((2, 0, 11),)).tag() == "2:0:11"
 
 
 def test_profile_satisfied_reads_content():
@@ -232,22 +235,22 @@ def test_cache_roundtrip(tmp_path):
     cache = IngredientCache(tmp_path / "ing.mrx")
     square = parse(golden.SQUARE_5_3)
     assert cache.load("ms", (5, 3)) is None
-    cache.store("ms", (5, 3), [square])
-    assert cache.load("ms", (5, 3)) == [square]
+    cache.store("ms", (5, 3), square)
+    assert cache.load("ms", (5, 3)) == square
     # a second entry must not clobber the first
     rect = classical_rectangle(3, 5)
-    cache.store("mr", (3, 5), [rect])
-    assert cache.load("ms", (5, 3)) == [square]
-    assert cache.load("mr", (3, 5)) == [rect]
+    cache.store("mr", (3, 5), rect)
+    assert cache.load("ms", (5, 3)) == square
+    assert cache.load("mr", (3, 5)) == rect
 
 
 def test_cache_profile_keys_are_distinct(tmp_path):
     cache = IngredientCache(tmp_path / "ing.mrx")
     profile = DiagonalProfile(((1, 0, 7),))
     g = magic_square_holes(8, 4, profile)
-    cache.store("ms", (8, 4), [g], profile)
+    cache.store("ms", (8, 4), g, profile)
     assert cache.load("ms", (8, 4)) is None
-    assert cache.load("ms", (8, 4), profile) == [g]
+    assert cache.load("ms", (8, 4), profile) == g
 
 
 def test_cache_speeds_up_searches(tmp_path):
@@ -269,7 +272,7 @@ def test_cache_miss_on_missing_or_empty_file(tmp_path):
 def test_cache_detects_tampered_row(tmp_path):
     path = tmp_path / "ing.mrx"
     cache = IngredientCache(path)
-    cache.store("ms", (5, 3), [parse(golden.SQUARE_5_3)])
+    cache.store("ms", (5, 3), parse(golden.SQUARE_5_3))
     text = path.read_text()
     assert ". . 2 10 9\n" in text
     path.write_text(text.replace(". . 2 10 9\n", ". . 4 10 9\n"))
@@ -306,7 +309,7 @@ def test_cached_mrs_roundtrip(tmp_path):
     rects = magic_rectangle_set(3, 5, 3, cache=path)
     assert [line for line in path.read_text().splitlines()
             if line.startswith("KEY ")] == ["KEY mr 3 5 -"]
-    assert IngredientCache(path).load("mr", (3, 5)) == [classical_rectangle(3, 5)]
+    assert IngredientCache(path).load("mr", (3, 5)) == classical_rectangle(3, 5)
     # one node fails any search: the base comes from the cache
     assert magic_rectangle_set(3, 5, 3, cache=path, budget=1) == rects
 
@@ -335,12 +338,60 @@ def test_cache_with_old_mrs_entry_serves_other_keys(tmp_path):
     path.write_text("KEY mr 3 5 -\n" + serialize(rect) + OLD_MRS_3_3_3_ENTRY
                     + "KEY ms 5 3 -\n" + golden.SQUARE_5_3)
     cache = IngredientCache(path)
-    assert cache.load("mr", (3, 5)) == [rect]
-    assert cache.load("ms", (5, 3)) == [parse(golden.SQUARE_5_3)]
+    assert cache.load("mr", (3, 5)) == rect
+    assert cache.load("ms", (5, 3)) == parse(golden.SQUARE_5_3)
     # a store keeps the old entry as it was
-    cache.store("ms", (7, 4), [magic_square_holes(7, 4)])
+    cache.store("ms", (7, 4), magic_square_holes(7, 4))
     assert OLD_MRS_3_3_3_ENTRY in path.read_text()
-    assert cache.load("mr", (3, 5)) == [rect]
+    assert cache.load("mr", (3, 5)) == rect
+
+
+def test_tampered_header_does_not_hide_the_next_key(tmp_path):
+    # a header claiming ten rows must not swallow the KEY line after them
+    path = tmp_path / "ing.mrx"
+    rect = serialize(classical_rectangle(3, 5))
+    assert rect.startswith("3 5\n")
+    path.write_text("KEY mr 3 5 -\n" + rect.replace("3 5\n", "10 5\n", 1)
+                    + "KEY ms 5 3 -\n" + golden.SQUARE_5_3)
+    cache = IngredientCache(path)
+    assert cache.load("ms", (5, 3)) == parse(golden.SQUARE_5_3)
+    with pytest.raises(CorruptCache):
+        cache.load("mr", (3, 5))
+
+
+@pytest.mark.parametrize("damage", ["bad header", "rows cut short"])
+def test_corrupt_entry_fails_only_its_own_key(tmp_path, damage):
+    path = tmp_path / "ing.mrx"
+    lines = serialize(classical_rectangle(3, 5)).splitlines(keepends=True)
+    if damage == "bad header":
+        lines[0] = "3 five\n"
+    else:
+        del lines[2:]
+    corrupt = "KEY mr 3 5 -\n" + "".join(lines)
+    path.write_text(corrupt + "KEY ms 5 3 -\n" + golden.SQUARE_5_3)
+    cache = IngredientCache(path)
+    assert cache.load("ms", (5, 3)) == parse(golden.SQUARE_5_3)
+    square = magic_square_holes(7, 4)
+    cache.store("ms", (7, 4), square)
+    assert path.read_text().startswith(corrupt + "KEY ms 5 3 -\n")
+    with pytest.raises(CorruptCache):
+        cache.load("mr", (3, 5))
+    assert cache.load("ms", (5, 3)) == parse(golden.SQUARE_5_3)
+    assert cache.load("ms", (7, 4)) == square
+
+
+def test_store_after_a_cut_last_line_keeps_the_new_key(tmp_path):
+    # the file ends inside a row: the next entry must start on a line of its own
+    path = tmp_path / "ing.mrx"
+    path.write_text("KEY ms 5 3 -\n" + golden.SQUARE_5_3[:-4])
+    cache = IngredientCache(path)
+    rect = classical_rectangle(3, 5)
+    cache.store("mr", (3, 5), rect)
+    assert path.read_text() == ("KEY ms 5 3 -\n" + golden.SQUARE_5_3[:-4] + "\n"
+                                + "KEY mr 3 5 -\n" + serialize(rect))
+    assert cache.load("mr", (3, 5)) == rect
+    with pytest.raises(CorruptCache):
+        cache.load("ms", (5, 3))
 
 
 def _closed_forms(path):
@@ -402,7 +453,7 @@ def test_realize_stores_only_searched_keys(tmp_path):
 def test_cache_sees_same_size_tampering_after_store(tmp_path):
     path = tmp_path / "ing.mrx"
     cache = IngredientCache(path)
-    cache.store("ms", (5, 3), [parse(golden.SQUARE_5_3)])
+    cache.store("ms", (5, 3), parse(golden.SQUARE_5_3))
     assert cache.load("ms", (5, 3)) is not None
     before = os.stat(path)
     text = path.read_bytes()
@@ -421,13 +472,13 @@ def test_cache_sees_same_size_tampering_after_store(tmp_path):
 def test_identical_store_leaves_file_alone(tmp_path):
     path = tmp_path / "ing.mrx"
     square = parse(golden.SQUARE_5_3)
-    IngredientCache(path).store("ms", (5, 3), [square])
-    IngredientCache(path).store("mr", (3, 5), [classical_rectangle(3, 5)])
+    IngredientCache(path).store("ms", (5, 3), square)
+    IngredientCache(path).store("mr", (3, 5), classical_rectangle(3, 5))
     before, text = os.stat(path), path.read_bytes()
     for cache in (IngredientCache(path), IngredientCache(path)):
         cache.load("mr", (3, 5))
-        cache.store("ms", (5, 3), [square])
-        cache.store("ms", (5, 3), [square])
+        cache.store("ms", (5, 3), square)
+        cache.store("ms", (5, 3), square)
     after = os.stat(path)
     assert path.read_bytes() == text
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
