@@ -15,7 +15,7 @@ from holeymagic import IngredientCache, MagicSpec, realize, serialize, verify
 SHAPES = [
     (7, 21, 9, 3),     # towers over a searched 7x7 square
     (15, 25, 15, 9),   # product of a square and a 3x5 rectangle
-    (8, 12, 6, 4),     # the five-case splice, diagonal-anchored search
+    (8, 12, 6, 4),     # the five-case splice, its big square lifted from its strip
     (5, 10, 4, 2),     # pure construction, no search involved
 ]
 BUDGET = 20_000_000

@@ -1,8 +1,9 @@
 """Deterministic constructions of magic rectangles with empty cells.
 
 Each operation turns parameters (plus pre-built ingredient grids where
-needed) into a grid that passes verify for its declared spec.  Ingredients
-are re-validated here even when they come from the trusted catalog.
+needed) into a grid that passes verify for its declared spec.  Ingredients,
+or the grid built from them, are re-validated here even when they come
+from the trusted catalog.
 BUILDS gives each route of existence.ROUTES one build from its params,
 which fetches the ingredients and calls the constructor.
 """
@@ -10,19 +11,12 @@ which fetches the ingredients and calls the constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import existence, ingredients
 from .errors import BadIngredient, NotConstructible
-from .grid import Cells, HoleyGrid, MagicSpec, beside, cyclic_run_start
-from .ingredients import (
-    DiagonalProfile,
-    _mrs_gate,
-    profile_satisfied,
-    require_magic,
-    require_ms,
-    two_per_column,
-)
+from .grid import Cells, HoleyGrid, MagicSpec, above, beside, cyclic_run_start
+from .ingredients import _mrs_gate, require_magic, require_ms, two_per_column
 from .kotzig import kotzig, lift
 
 
@@ -104,79 +98,28 @@ def product(square: HoleyGrid, rect: HoleyGrid) -> HoleyGrid:
     return HoleyGrid.from_rows(cells)
 
 
-def _strip_half_diagonals(strip: HoleyGrid, m: int) -> Dict[Tuple[int, int], List[int]]:
-    """Values on each complete local diagonal of each m x m half of an
-    m x 2m strip, keyed by (half, local diagonal)."""
-    out: Dict[Tuple[int, int], List[int]] = {}
-    for h in (0, 1):
-        for d in range(m):
-            vals = []
-            for p in range(m):
-                v = strip.cells[p][h * m + (p + d) % m]
-                if v is not None:
-                    vals.append(v)
-            if vals:
-                if len(vals) != m:
-                    raise BadIngredient(
-                        f"strip half {h} diagonal {d} is only partly filled"
-                    )
-                out[(h, d)] = vals
-    return out
-
-
 def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGrid:
     """MR(2m, 3m; 3s, 2s) from an MS(2m;2s) and an MR(m,2m;2s,s) strip.
 
-    The big square must carry the values 0..ms-1 on s/2 complete diagonals
-    (each one a run of 2m consecutive numbers); the strip's diagonals must
-    split cleanly below/above ms within each m x m half, s/2 high per half.
-    Those cells get bumped by 4ms, then the strip is glued on transposed.
+    Every square value below ms and every strip value from ms up gets
+    bumped by 4ms, then the strip is glued on transposed.  The splice is
+    magic when the square's values below ms meet each of its rows and
+    columns s/2 times, and the strip's values from ms up meet each strip
+    row s times and each strip column s/2 times.  It is checked once, so
+    any other pair raises BadIngredient.
     """
     _five_case_gate(m, s)
+    if (square2m.rows, square2m.cols) != (2 * m, 2 * m) or (strip.rows, strip.cols) != (m, 2 * m):
+        raise BadIngredient(f"need a {2 * m}x{2 * m} square and a {m}x{2 * m} strip, got "
+                            f"{square2m.rows}x{square2m.cols} and {strip.rows}x{strip.cols}")
     ms = m * s
     bump = 4 * ms
-
-    require_ms(square2m, 2 * m, 2 * s)
-    if not profile_satisfied(square2m, DiagonalProfile(((s // 2, 0, ms - 1),))):
-        raise BadIngredient(f"big square does not hold 0..{ms - 1} on {s // 2} consecutive "
-                            f"diagonals of {2 * m} consecutive values each")
-    # row 0 meets diagonal d in column d, and only low diagonals hold values below ms
-    low_diagonals = [d for d, v in enumerate(square2m.cells[0]) if v is not None and v < ms]
-
-    require_magic(strip, MagicSpec(m, 2 * m, 2 * s, s), f"MR({m},{2 * m};{2 * s},{s}) strip")
-    halves = _strip_half_diagonals(strip, m)
-    high: Dict[int, List[int]] = {0: [], 1: []}
-    for (h, d), vals in halves.items():
-        below = sum(1 for v in vals if v < ms)
-        if below not in (0, len(vals)):
-            raise BadIngredient(f"strip half {h} diagonal {d} mixes values across {ms}")
-        if below == 0:
-            high[h].append(d)
-    if len(high[0]) != s // 2 or len(high[1]) != s // 2:
-        raise BadIngredient(
-            f"each strip half needs {s // 2} diagonals above {ms}, found "
-            f"{len(high[0])} and {len(high[1])}"
-        )
-
-    acells = [list(row) for row in square2m.cells]
-    for d in low_diagonals:
-        for p in range(2 * m):
-            acells[p][(p + d) % (2 * m)] += bump
-    bcells = [list(row) for row in strip.cells]
-    for h in (0, 1):
-        for d in high[h]:
-            for p in range(m):
-                bcells[p][h * m + (p + d) % m] += bump
-
-    cells: List[List] = [[None] * (3 * m) for _ in range(2 * m)]
-    for i in range(2 * m):
-        for j in range(2 * m):
-            cells[i][j] = acells[i][j]
-    for i in range(m):
-        for j in range(2 * m):
-            if bcells[i][j] is not None:
-                cells[j][2 * m + i] = bcells[i][j]
-    return HoleyGrid.from_rows(cells)
+    big = [[v + bump if v is not None and v < ms else v for v in row] for row in square2m.cells]
+    tall = [[v + bump if v is not None and v >= ms else v for v in col] for col in zip(*strip.cells)]
+    grid = beside([big, tall])
+    require_magic(grid, MagicSpec(2 * m, 3 * m, 3 * s, 2 * s),
+                  f"MR({2 * m},{3 * m};{3 * s},{2 * s}) five-case splice")
+    return grid
 
 
 def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
@@ -240,11 +183,16 @@ def _build_nmss(m, s, t, **kw):
 
 
 def _build_five_case(m, s, **kw):
+    """The strip is an MR(m,2m;2s,s) whose m x m halves each hold s/2
+    values below ms in every row.  The square stacks two lifted copies of
+    it: copy 0 keeps half 0's values and copy 1 keeps half 1's, so every
+    square row has s/2 values below ms, and every square column holds the
+    low cells of one strip column, s/2 of them.  That is what five_case
+    needs of both, so only the strip's MS(m;s) is ever searched."""
     _five_case_gate(m, s)
-    profile = DiagonalProfile(((s // 2, 0, m * s - 1),))
-    big = ingredients.magic_square_holes(2 * m, 2 * s, profile=profile, **kw)
-    strip = _build_stacked(m, 2, s, **kw)  # MR(m,2m;2s,s)
-    return five_case(m, s, big, strip)
+    strip = _build_stacked(m, 2, s, **kw)
+    square2m = above(lift(strip, lambda i, j: j // m, kotzig(2, 2)))
+    return five_case(m, s, square2m, strip)
 
 
 def _build_product(m, s, a, b, **kw):

@@ -248,8 +248,6 @@ def parse(text: str) -> HoleyGrid:
     if not text.endswith("\n"):
         raise ParseError("missing trailing newline", max(1, text.count("\n") + 1))
     lines = text.split("\n")[:-1]
-    if not lines:
-        raise ParseError("empty input", 1)
 
     header = lines[0].split(" ")
     if len(header) != 2 or not all(_VALUE_RE.match(tok) for tok in header):

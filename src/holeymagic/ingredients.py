@@ -373,10 +373,7 @@ def _ms_anchored(m, s, q, budget):
     """
     total = m * s
     support = list(range(m - s, m))
-    target2 = s * (total - 1)
-    if target2 % 2:
-        return None
-    target = target2 // 2
+    target = s * (total - 1) // 2
 
     on_support = set(support)
     cells = sorted(

