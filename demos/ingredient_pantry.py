@@ -3,14 +3,17 @@
 The composite constructors want searched ingredients (squares with holes,
 classical rectangles, rectangle sets).  Searching is the slow part, so the
 high-level builder takes a cache file; the second pass below should come
-back near-instant with byte-identical output.
+back near-instant with byte-identical output.  A search that runs out of
+budget is not stored, but the cache object remembers it: asking again, in
+either orientation, fails at once instead of searching again.
 """
 
 import tempfile
 import time
 from pathlib import Path
 
-from holeymagic import IngredientCache, MagicSpec, realize, serialize, verify
+from holeymagic import (IngredientCache, MagicSpec, SearchBudgetExceeded, realize,
+                        serialize, verify)
 
 SHAPES = [
     (7, 21, 9, 3),     # towers over a searched 7x7 square
@@ -19,6 +22,10 @@ SHAPES = [
     (5, 10, 4, 2),     # pure construction, no search involved
 ]
 BUDGET = 20_000_000
+# classical MR(5,7) and its transpose: one odd coprime search, too big for
+# SHORT_BUDGET nodes
+DRY_SHAPES = [(5, 7, 7, 5), (5, 7, 7, 5), (7, 5, 5, 7)]
+SHORT_BUDGET = 20_000
 
 
 def build_all(cache):
@@ -49,6 +56,16 @@ def main():
         identical = all(first[s] == second[s] for s in SHAPES)
         size = pantry.stat().st_size
         print(f"pantry file: {size} bytes, outputs identical: {identical}")
+
+        print(f"budget failures at {SHORT_BUDGET} nodes (searched once, then remembered):")
+        for shape in DRY_SHAPES:
+            start = time.perf_counter()
+            try:
+                realize(*shape, cache=cache, budget=SHORT_BUDGET)
+            except SearchBudgetExceeded as exc:
+                elapsed = time.perf_counter() - start
+                print(f"  {shape}: {elapsed * 1000:8.3f} ms, {exc}")
+        print(f"pantry file: {pantry.stat().st_size} bytes (failures are not stored)")
 
 
 if __name__ == "__main__":

@@ -13,14 +13,19 @@ squares the closed form misses are searched, and the cache holds only
 those: `ms` and `mr` entries of one grid each.  A diagonal profile is one
 run of the lowest values.  Search failure by exhaustion raises
 NotConstructible; running out of node budget raises SearchBudgetExceeded,
-which is inconclusive and never a nonexistence claim.
+which is inconclusive and never a nonexistence claim.  An IngredientCache
+remembers such failures in memory, never in its file, and answers a
+repeat at the same or a smaller budget without searching again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
+import shutil
+import stat
 import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -375,11 +380,7 @@ def _ms_anchored(m, s, q, budget):
     support = list(range(m - s, m))
     target = s * (total - 1) // 2
 
-    on_support = set(support)
-    cells = sorted(
-        ((i, j) for i in range(m) for j in range(m) if (j - i) % m in on_support),
-        key=_staircase_key,
-    )
+    cells = sorted(((i, (i + d) % m) for d in support for i in range(m)), key=_staircase_key)
     lines = [(target, []) for _ in range(2 * m)]  # rows, then columns
     for idx, (i, j) in enumerate(cells):
         lines[i][1].append(idx)
@@ -431,15 +432,18 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         grid = _closed_rectangle(m, m) if s == m else None
     if grid is not None and (profile is None or profile_satisfied(grid, profile)):
         return grid
-    return _searched("ms", (m, s), profile, cache,
+    return _searched("ms", (m, s), profile, cache, budget, _square_label(m, s, profile),
                      lambda: _search_square(m, s, profile, budget))
+
+
+def _square_label(m, s, profile):
+    return f"MS({m};{s})" + (f" profile {profile.tag()}" if profile is not None else "")
 
 
 def _search_square(m, s, profile, budget):
     """Search MS(m;s) with the profile's q blocks anchored, or layered when
     there is no profile: s blocks, then s - 2, then none."""
-    label = f"MS({m};{s})" + (f" profile {profile.tag()}" if profile is not None else "")
-    b = _Budget(budget, label)
+    b = _Budget(budget, _square_label(m, s, profile))
     if profile is not None:
         ((q, _, hi),) = profile.required_runs
         grid = _ms_anchored(m, s, q, b) if q <= s and hi + 1 == q * m else None
@@ -518,8 +522,9 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
         )
     result = _closed_rectangle(a, b)
     if result is None:
-        result = _searched("mr", (a, b), None, cache,
-                           lambda: _search_rectangle(a, b, budget, f"MR({a},{b})"))
+        label = f"MR({a},{b})"
+        result = _searched("mr", (a, b), None, cache, budget, label,
+                           lambda: _search_rectangle(a, b, budget, label))
     return result
 
 
@@ -568,19 +573,30 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
 # ---------------------------------------------------------------------------
 # persistent cache
 
-def _searched(kind, params, profile, cache, search) -> HoleyGrid:
+def _searched(kind, params, profile, cache, budget, label, search) -> HoleyGrid:
     """The grid of a searched ingredient: the cache's entry when `cache`
     (an IngredientCache or a path, or None for no cache) holds the key,
     else search(), stored in the cache.  The only code that touches the
-    cache; catalog and closed-form ingredients never reach it."""
+    cache; catalog and closed-form ingredients never reach it.  A miss
+    whose search (MR(a,b) and MR(b,a) run one) the same IngredientCache
+    ran dry at this budget or a larger one raises at once, as the search
+    would: a budget only cuts one deterministic walk short."""
     if cache is None:
         return search()
     if not isinstance(cache, IngredientCache):
         cache = IngredientCache(cache)
     grid = cache.load(kind, params, profile)
-    if grid is None:
+    if grid is not None:
+        return grid
+    key = _cache_key(kind, sorted(params) if kind == "mr" else params, profile)
+    if cache._dry.get(key, -1) >= budget:
+        raise SearchBudgetExceeded(label, int(budget) + 1)
+    try:
         grid = search()
-        cache.store(kind, params, grid, profile)
+    except SearchBudgetExceeded:
+        cache._dry[key] = budget
+        raise
+    cache.store(kind, params, grid, profile)
     return grid
 
 
@@ -613,12 +629,17 @@ class IngredientCache:
     one MRX grid.  The file is split at KEY lines only; parse reads a grid
     when its key loads, so a bad entry fails its own key alone, and stores
     keep other entries byte for byte (old multi-grid `mrs` ones too).
-    Stores rewrite the file atomically, so readers never see torn writes.
-    Every load and store reads the file afresh; it stays small.
+    Stores rewrite the file atomically, so readers never see torn writes;
+    they write through a symlink and keep the file's permission bits, and
+    a path that is not a regular file raises CacheError unopened.  Every
+    load and store reads the file afresh; it stays small.  Budget failures
+    are remembered per instance (_searched), never in the file: unlike a
+    grid, a failure cannot be re-verified on load.
     """
 
     def __init__(self, path):
         self.path = str(path)
+        self._dry: Dict[str, int] = {}  # search key -> largest budget it ran dry at
 
     def load(self, kind, params, profile=None):
         """The key's grid, or None on a miss.  Entries re-verify on load;
@@ -649,12 +670,14 @@ class IngredientCache:
                 parts.append("\n")
         payload = "".join(parts)
         try:
-            directory = os.path.dirname(self.path) or "."
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ingredients-")
+            path = os.path.realpath(self.path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".ingredients-")
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(payload)
-                os.replace(tmp, self.path)
+                with contextlib.suppress(FileNotFoundError):  # a new file stays 0600
+                    shutil.copymode(path, tmp)
+                os.replace(tmp, path)
             except BaseException:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
@@ -665,6 +688,8 @@ class IngredientCache:
     def _read(self) -> Dict[str, str]:
         """The file's entries, key to text, read afresh."""
         try:
+            if not stat.S_ISREG(os.stat(self.path).st_mode):  # a FIFO would block open
+                raise CacheError(f"cannot read cache {self.path}: not a regular file")
             with open(self.path, "r") as fh:
                 raw = fh.read()
         except FileNotFoundError:

@@ -1,5 +1,5 @@
-"""Shared test helpers: a from-scratch magic checker, grid mutators and the
-reference search kernels.
+"""Shared test helpers: the well-shaped (m, n, r, s) tuples, a
+from-scratch magic checker, grid mutators and the reference search kernels.
 
 naive_check deliberately reimplements the magic axioms with plain loops
 and doubled integer sums so it shares nothing with the library verifier;
@@ -30,6 +30,24 @@ from holeymagic.grid import (
     magic_constants,
 )
 from holeymagic.oracle import EnumerationResult
+
+
+def all_well_shaped(max_total):
+    """Every (m, n, r, s) with r <= n, s <= m, mr = ns and mr <= max_total."""
+    shapes = []
+    for m in range(1, max_total + 1):
+        for r in range(1, max_total + 1):
+            t = m * r
+            if t > max_total:
+                break
+            for n in range(1, t + 1):
+                if t % n:
+                    continue
+                s = t // n
+                if r <= n and s <= m:
+                    shapes.append((m, n, r, s))
+    return shapes
+
 
 _VALUE_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 

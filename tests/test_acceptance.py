@@ -41,22 +41,6 @@ import golden
 import support
 
 
-def all_well_shaped(max_total):
-    shapes = []
-    for m in range(1, max_total + 1):
-        for r in range(1, max_total + 1):
-            t = m * r
-            if t > max_total:
-                break
-            for n in range(1, t + 1):
-                if t % n:
-                    continue
-                s = t // n
-                if r <= n and s <= m:
-                    shapes.append((m, n, r, s))
-    return shapes
-
-
 def test_criterion_1_golden_grids():
     cases = [
         (lambda: serialize(two_per_column(5, 2)), golden.TWO_PER_COLUMN_5_2),
@@ -196,7 +180,7 @@ def test_criterion_6_oracle_ground_truth():
 
 def test_criterion_7_decide_oracle_consistency():
     t0 = time.perf_counter()
-    shapes = all_well_shaped(12)
+    shapes = support.all_well_shaped(12)
     verdicts = {"exists": 0, "not-exists": 0, "unknown": 0}
     inconsistent = []
     for shape in shapes:
@@ -225,7 +209,7 @@ def test_criterion_8_constructive_honesty(tmp_path):
     reached = {}
     skipped = {}
     failures = []
-    for shape in all_well_shaped(200):
+    for shape in support.all_well_shaped(200):
         decision = decide(*shape)
         if decision.verdict != "exists":
             continue

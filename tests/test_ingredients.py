@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import stat
+import subprocess
 import sys
 
 import pytest
@@ -482,6 +484,133 @@ def test_identical_store_leaves_file_alone(tmp_path):
     after = os.stat(path)
     assert path.read_bytes() == text
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cache_refuses_a_fifo_without_opening_it(tmp_path):
+    # opening a FIFO blocks until a writer comes, so this runs in a child
+    fifo = tmp_path / "ing.mrx"
+    os.mkfifo(fifo)
+    script = (
+        "import sys\n"
+        "from holeymagic import CacheError, IngredientCache, parse\n"
+        "cache = IngredientCache(sys.argv[1])\n"
+        "grid = parse(sys.argv[2])\n"
+        "for op in (lambda: cache.load('ms', (5, 3)), lambda: cache.store('ms', (5, 3), grid)):\n"
+        "    try:\n"
+        "        op()\n"
+        "    except CacheError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ingredients.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(fifo), golden.SQUARE_5_3],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"cannot read cache {fifo}: not a regular file\n" * 2
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_store_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "pantry.mrx"
+    link = tmp_path / "ing.mrx"
+    link.symlink_to(target.name)  # dangling until the first store
+    cache = IngredientCache(link)
+    cache.store("ms", (5, 3), parse(golden.SQUARE_5_3))
+    os.chmod(target, 0o644)
+    cache.store("mr", (3, 5), classical_rectangle(3, 5))
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
+    assert [line for line in target.read_text().splitlines()
+            if line.startswith("KEY ")] == ["KEY ms 5 3 -", "KEY mr 3 5 -"]
+    assert serialize(IngredientCache(target).load("ms", (5, 3))) == golden.SQUARE_5_3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ing.mrx", "pantry.mrx"]
+
+
+def _counting_kernel(monkeypatch):
+    """Count the search kernel's calls in the returned list."""
+    calls = []
+    kernel = ingredients._search_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(ingredients, "_search_assignment", counted)
+    return calls
+
+
+def test_a_square_search_runs_dry_once_per_cache(tmp_path, monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    path = tmp_path / "ing.mrx"
+    cache = IngredientCache(path)
+
+    def kernel_calls_until_dry(budget, profile=None):
+        del calls[:]
+        with pytest.raises(SearchBudgetExceeded) as info:
+            magic_square_holes(7, 4, profile, cache=cache, budget=budget)
+        label = "MS(7;4)" + (" profile 1:0:6" if profile else "")
+        assert (info.value.ingredient, info.value.nodes) == (label, budget + 1)
+        return len(calls)
+
+    # 35 815 nodes is the least budget that finds MS(7;4)
+    assert kernel_calls_until_dry(35_814) > 0
+    assert kernel_calls_until_dry(35_814) == 0
+    assert kernel_calls_until_dry(1_000) == 0  # a smaller budget cuts the same walk
+    # a profiled square is another search
+    assert kernel_calls_until_dry(10, DiagonalProfile(((1, 0, 6),))) > 0
+    assert not path.exists()  # failures are never written
+    del calls[:]
+    assert serialize(magic_square_holes(7, 4, cache=cache, budget=35_815)) == SEARCHED_MS_7_4
+    assert calls
+    assert [line for line in path.read_text().splitlines()
+            if line.startswith("KEY ")] == ["KEY ms 7 4 -"]
+
+
+def test_a_rectangle_search_runs_dry_once_in_either_orientation(tmp_path, monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    path = tmp_path / "ing.mrx"
+    cache = IngredientCache(path)
+    for a, b, searched in [(3, 11, 1), (11, 3, 1)]:
+        with pytest.raises(SearchBudgetExceeded) as info:
+            classical_rectangle(a, b, cache=cache, budget=1_000)
+        assert (info.value.ingredient, info.value.nodes) == (f"MR({a},{b})", 1_001)
+        assert len(calls) == searched
+    # memory is per instance: a new one on the same path, or the path, searches
+    for other in (IngredientCache(path), str(path)):
+        with pytest.raises(SearchBudgetExceeded):
+            classical_rectangle(11, 3, cache=other, budget=1_000)
+    assert len(calls) == 3
+    # a larger budget searches again
+    grid = classical_rectangle(11, 3, cache=cache, budget=162_588)
+    assert len(calls) == 4
+    assert verify(grid, MagicSpec(11, 3, 3, 11)).ok
+
+
+@pytest.mark.parametrize("budget", [300, 2_500])
+def test_remembered_failures_leave_realize_unchanged(tmp_path, monkeypatch, budget):
+    # every exists shape with mr <= 250 (the sweep's range), realized over
+    # one cache and over a new instance per call, which remembers nothing:
+    # the grids and errors match
+    calls = _counting_kernel(monkeypatch)
+    shared = IngredientCache(tmp_path / "shared.mrx")
+    fresh = tmp_path / "fresh.mrx"
+
+    def outcome(shape, cache):
+        try:
+            return serialize(realize(*shape, cache=cache, budget=budget))
+        except HoleyMagicError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    searched = {"shared": 0, "fresh": 0}
+    for shape in support.all_well_shaped(250):
+        if existence.decide(*shape).verdict != "exists":
+            continue
+        del calls[:]
+        remembered = outcome(shape, shared)
+        searched["shared"] += len(calls)
+        del calls[:]
+        assert outcome(shape, IngredientCache(fresh)) == remembered, shape
+        searched["fresh"] += len(calls)
+    assert searched["shared"] < searched["fresh"]
 
 
 # --- search kernel invariants -----------------------------------------------
