@@ -17,14 +17,14 @@ from holeymagic import (IngredientCache, MagicSpec, SearchBudgetExceeded, realiz
 
 SHAPES = [
     (7, 21, 9, 3),     # towers over a searched 7x7 square
-    (15, 25, 15, 9),   # product of a square and a 3x5 rectangle
+    (15, 25, 15, 9),   # product of a square and a 3x5 rectangle, no search
     (8, 12, 6, 4),     # the five-case splice, its big square lifted from its strip
     (5, 10, 4, 2),     # pure construction, no search involved
 ]
 BUDGET = 20_000_000
-# classical MR(5,7) and its transpose: one odd coprime search, too big for
+# classical MR(7,9) and its transpose: one odd coprime search, too big for
 # SHORT_BUDGET nodes
-DRY_SHAPES = [(5, 7, 7, 5), (5, 7, 7, 5), (7, 5, 5, 7)]
+DRY_SHAPES = [(7, 9, 9, 7), (7, 9, 9, 7), (9, 7, 7, 9)]
 SHORT_BUDGET = 20_000
 
 

@@ -6,16 +6,18 @@ closed form, returned without touching the cache, then the cache, then
 deterministic backtracking search; only a searched result is stored when
 a cache is given.  Closed forms lift a small base through Kotzig arrays
 (kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3, and
-the full squares MS(m;m).  Every MRS(a,b;c) is c copies of MR(a,b)
-lifted through one more Kotzig array, so a set searches only when its
-base does.  Odd coprime rectangles, thin squares (s < m) and profiled
-squares the closed form misses are searched, and the cache holds only
-those: `ms` and `mr` entries of one grid each.  A diagonal profile is one
-run of the lowest values.  Search failure by exhaustion raises
-NotConstructible; running out of node budget raises SearchBudgetExceeded,
-which is inconclusive and never a nonexistence claim.  An IngredientCache
-remembers such failures in memory, never in its file, and answers a
-repeat at the same or a smaller budget without searching again.
+the full squares MS(m;m); odd coprime MR(a,b) with a short side of 3 or
+5 are signed magic arrays shifted up.  Every MRS(a,b;c) is c copies of
+MR(a,b) lifted through one more Kotzig array, so a set searches only
+when its base does.  Odd coprime rectangles with both sides at least 7,
+thin squares (s < m) and profiled squares the closed form misses are
+searched, and the cache holds only those: `ms` and `mr` entries of one
+grid each.  A diagonal profile is one run of the lowest values.  Search
+failure by exhaustion raises NotConstructible; running out of node budget
+raises SearchBudgetExceeded, which is inconclusive and never a
+nonexistence claim.  An IngredientCache remembers such failures in
+memory, never in its file, and answers a repeat at the same or a smaller
+budget without searching again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import os
 import re
 import shutil
 import stat
-import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -213,22 +214,104 @@ def _siamese(g: int) -> HoleyGrid:
 
 def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
     """Full MR(a,b) on 0..ab-1 for a pair mr_exists allows, or None when
-    both sides are odd, coprime and greater than 1.
+    both sides are odd, coprime and at least 7.
 
     Even sides stack a/2 copies of MR(2,b) (its columns as classes; b = 2
     transposes MR(2,a)).  Odd sides with g = gcd(a,b) >= 3 stack a/g
     copies of the Siamese MR(g,g), then set b/g copies of that MR(a,g)
     side by side (its rows as classes); MR(1,1) lifts the Siamese MR(1,1).
+    Odd coprime sides with a short side of 3 or 5 are a signed array, its
+    short side as the rows, shifted up by h = (ab-1)/2: an MR(a,b) with ab
+    odd, less h, holds -h..h and every line sums to 0 (Khodkar, Schulz and
+    Wagner, "Existence of some signed magic arrays", Discrete Math. 340,
+    2017).  MR(5,7) is a catalog entry.
     """
     if a % 2 == 0:
         if b == 2:
             return HoleyGrid.from_rows(zip(*_closed_rectangle(2, a).cells))
         return above(lift(two_per_column(2, b // 2), lambda i, j: j, kotzig(b, a // 2)))
     g = math.gcd(a, b)
-    if g == 1 and a > 1:
+    if g > 1 or a == 1:
+        tall = above(lift(_siamese(g), lambda i, j: j, kotzig(g, a // g)))
+        return beside(lift(tall, lambda i, j: i, kotzig(a, b // g)))
+    short, n = min(a, b), max(a, b)
+    if (short, n) == (5, 7):
+        rows = _CATALOG_MR_5_7
+    elif short in (3, 5):
+        signed = _signed_rows3(n) if short == 3 else _signed_rows5(n)
+        h = (a * b - 1) // 2
+        rows = [[h + v for v in row] for row in signed]
+    else:
         return None
-    tall = above(lift(_siamese(g), lambda i, j: j, kotzig(g, a // g)))
-    return beside(lift(tall, lambda i, j: i, kotzig(a, b // g)))
+    return HoleyGrid.from_rows(zip(*rows) if a > b else rows)
+
+
+# MR(5,7), from a band form: _signed_rows5 needs n >= 9.
+_CATALOG_MR_5_7 = ((34, 10, 27, 1, 16, 31, 0), (6, 19, 29, 8, 25, 4, 28),
+                   (12, 23, 2, 17, 32, 11, 22), (13, 30, 9, 26, 5, 15, 21),
+                   (20, 3, 18, 33, 7, 24, 14))
+
+
+def _distinct_sum(t: int, lo: int, hi: int, total: int) -> Optional[List[int]]:
+    """t distinct values in lo..hi summing to `total`, or None if none do:
+    lo..lo+t-1, the top ones raised by the room r above them, the next one
+    by the rest."""
+    vals = list(range(lo, lo + t))
+    e, r = total - sum(vals), hi - lo + 1 - t
+    if e < 0 or e > t * r:
+        return None
+    if e:
+        up, rest = divmod(e, r)
+        for x in range(t - up, t):
+            vals[x] += r
+        if rest:
+            vals[t - up - 1] += rest
+    return vals
+
+
+def _signed_rows3(n: int) -> List[List[int]]:
+    """3 x n array on -(3k+1)..3k+1, k = (n-1)/2, whose lines sum to 0;
+    n odd, at least 5 and prime to 3.
+
+    With p = k+1+i and q = k+1+(2i mod n), column i is (q-p, p, -q) for i
+    in T, else (q-p, -q, p); row 0 holds -k..k.  Rows 1 and 2 sum to 0 when
+    p+q summed over T is n^2.  T = 0..k misses that by (k^2-3k-2)/2, and
+    trading t of its indices i for k+1+j adds t(k+2) + 3(sum j - sum i).
+    The first t in 1, 4, 7, ... that fits is taken; for large k, some t
+    between k/7 and k/2 does."""
+    k = (n - 1) // 2
+    miss = (k * k - 3 * k - 2) // 2
+    for t in range(1, k + 1, 3):
+        rest = (miss - t * (k + 2)) // 3
+        if rest >= 0:
+            out, into = range(t), _distinct_sum(t, 0, k - 1, rest + t * (t - 1) // 2)
+        else:
+            into, out = range(t), _distinct_sum(t, 0, k, t * (t - 1) // 2 - rest)
+        if out is not None and into is not None:
+            break
+    T = set(range(k + 1)).difference(out).union(k + 1 + j for j in into)
+    cols = []
+    for i in range(n):
+        p, q = k + 1 + i, k + 1 + 2 * i % n
+        cols.append((q - p, p, -q) if i in T else (q - p, -q, p))
+    return [list(row) for row in zip(*cols)]
+
+
+def _signed_rows5(n: int) -> List[List[int]]:
+    """5 x n array on -(5k+2)..5k+2, k = (n-1)/2, whose lines sum to 0;
+    n odd, at least 9 and prime to 5: a signed 3 x n array on
+    -(3k+1)..3k+1 over a row y and a row -y, where y signs 3k+2..5k+2 so
+    that the + ones, the fewest that can, sum to n^2."""
+    k = (n - 1) // 2
+    if n % 3:
+        rows = _signed_rows3(n)
+    else:
+        rows = [[v - 3 * k - 1 for v in row] for row in _closed_rectangle(3, n).cells]
+    low = 3 * k + 2
+    plus = next(set(p) for c in range(n + 1)
+                if (p := _distinct_sum(c, 0, n - 1, n * n - c * low)) is not None)
+    y = [low + j if j in plus else -(low + j) for j in range(n)]
+    return rows + [y, [-v for v in y]]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +595,8 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
     """Full a x b magic rectangle on 0..ab-1.
 
     Raises NotConstructible unless existence.mr_exists(a, b).  Resolution:
-    the closed form, then cache and search (odd coprime sides only).
+    the closed form, then cache and search (odd coprime sides that are both
+    at least 7 only).
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
@@ -671,11 +755,13 @@ class IngredientCache:
         payload = "".join(parts)
         try:
             path = os.path.realpath(self.path)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".ingredients-")
+            tmp = os.path.join(os.path.dirname(path), f".ingredients-{os.urandom(8).hex()}")
+            # 0o666 under the umask, as open() would create the file
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(payload)
-                with contextlib.suppress(FileNotFoundError):  # a new file stays 0600
+                with contextlib.suppress(FileNotFoundError):  # an existing file keeps its bits
                     shutil.copymode(path, tmp)
                 os.replace(tmp, path)
             except BaseException:

@@ -288,19 +288,19 @@ def test_ingredient_cache_flag(capsys, tmp_path):
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     # the reused parser must not carry the previous call's --cache over
-    # MR(3,5) is searched, so it is stored; closed forms never touch a cache
+    # MS(7;3) is searched, so it is stored; closed forms never touch a cache
     flag, path = tmp_path / "flagcache.mrx", tmp_path / "envcache.mrx"
-    assert run(capsys, "ingredient", "mr", "--a", "3", "--b", "5", "--cache", str(flag))[0] == 0
+    assert run(capsys, "ingredient", "ms", "--m", "7", "--s", "3", "--cache", str(flag))[0] == 0
     monkeypatch.setenv("HOLEY_CACHE", str(path))
-    code, _, _ = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5")
+    code, _, _ = run(capsys, "ingredient", "ms", "--m", "7", "--s", "3")
     assert code == 0
     assert path.exists()
 
 
 def test_undecodable_cache_exits_one(capsys, tmp_path):
     path = tmp_path / "cache.mrx"
-    path.write_bytes(b"KEY mr 3 5 -\n3 5\n\xff\xfe 1\n")
-    code, out, err = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5",
+    path.write_bytes(b"KEY ms 7 3 -\n7 7\n\xff\xfe 1\n")
+    code, out, err = run(capsys, "ingredient", "ms", "--m", "7", "--s", "3",
                          "--cache", str(path))
     assert (code, out) == (1, "")
     assert "undecodable" in err
@@ -308,14 +308,14 @@ def test_undecodable_cache_exits_one(capsys, tmp_path):
 
 def test_unwritable_cache_exits_one(capsys, tmp_path):
     path = tmp_path / "missing" / "x.mrx"
-    code, out, err = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5",
+    code, out, err = run(capsys, "ingredient", "ms", "--m", "7", "--s", "3",
                          "--cache", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot write cache")
 
 
 def test_unreadable_cache_exits_one(capsys, tmp_path):
-    code, out, err = run(capsys, "ingredient", "mr", "--a", "3", "--b", "5",
+    code, out, err = run(capsys, "ingredient", "ms", "--m", "7", "--s", "3",
                          "--cache", str(tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot read cache")

@@ -205,6 +205,40 @@ def test_closed_form_rectangles():
     assert built > 400
 
 
+def test_closed_form_rectangles_with_three_or_five_rows(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    built = 0
+    for short in (3, 5):
+        for n in range(short + 2, 152, 2):
+            if math.gcd(short, n) > 1:
+                continue
+            for a, b in [(short, n), (n, short)]:
+                g = classical_rectangle(a, b, budget=1)
+                assert verify(g, MagicSpec(a, b, b, a)).ok, (a, b)
+                assert support.naive_check(g, a, b, b, a), (a, b)
+                built += 1
+    assert calls == []
+    assert built == 218  # 50 pairs with 3 rows and 59 with 5, both orientations
+    # a short side of 7 or more is still searched
+    for a, b in [(7, 9), (9, 7), (7, 151), (11, 13)]:
+        assert ingredients._closed_rectangle(a, b) is None
+
+
+# Signed-array closed forms, pinned: MR(3,5) from the 3-row rule, MR(5,7)
+# from the catalog.
+SIGNED_MR_3_5 = [(7, 8, 9, 5, 6), (10, 11, 0, 13, 1), (4, 2, 12, 3, 14)]
+CATALOG_MR_5_7 = [(34, 10, 27, 1, 16, 31, 0), (6, 19, 29, 8, 25, 4, 28),
+                  (12, 23, 2, 17, 32, 11, 22), (13, 30, 9, 26, 5, 15, 21),
+                  (20, 3, 18, 33, 7, 24, 14)]
+
+
+@pytest.mark.parametrize("rows", [SIGNED_MR_3_5, CATALOG_MR_5_7], ids=["mr_3_5", "mr_5_7"])
+def test_pinned_closed_form_odd_rectangles(rows):
+    a, b = len(rows), len(rows[0])
+    assert classical_rectangle(a, b) == HoleyGrid.from_rows(rows)
+    assert classical_rectangle(b, a) == HoleyGrid.from_rows(zip(*rows))
+
+
 def test_closed_form_even_rectangle_sets():
     for a in range(2, 31, 2):
         for b in range(max(a, 4), 31, 2):
@@ -305,15 +339,22 @@ def test_cache_rejects_malformed_file(tmp_path):
         IngredientCache(path).load("mr", (4, 6))
 
 
-def test_cached_mrs_roundtrip(tmp_path):
-    # a set lifts its base rectangle, so only the searched base is cached
+def test_cached_mrs_roundtrip(tmp_path, monkeypatch):
+    # a set lifts its base rectangle, so the cache sees only the base's key;
+    # no odd rectangle with a short side of 7 or more is found at test
+    # budgets, so the base runs dry and nothing is stored
+    calls = _counting_kernel(monkeypatch)
     path = tmp_path / "ing.mrx"
-    rects = magic_rectangle_set(3, 5, 3, cache=path)
-    assert [line for line in path.read_text().splitlines()
-            if line.startswith("KEY ")] == ["KEY mr 3 5 -"]
-    assert IngredientCache(path).load("mr", (3, 5)) == classical_rectangle(3, 5)
-    # one node fails any search: the base comes from the cache
-    assert magic_rectangle_set(3, 5, 3, cache=path, budget=1) == rects
+    cache = IngredientCache(path)
+    for fetch in (lambda: magic_rectangle_set(7, 9, 3, cache=cache, budget=1_000),
+                  lambda: magic_rectangle_set(7, 9, 5, cache=cache, budget=1_000),
+                  lambda: classical_rectangle(9, 7, cache=cache, budget=1_000)):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            fetch()
+        assert info.value.nodes == 1_001
+    # one search for the base serves every set over it, in either orientation
+    assert len(calls) == 1
+    assert not path.exists()
 
 
 # A three-member set as older versions cached it, under its own key kind.
@@ -430,13 +471,19 @@ def test_only_searched_ingredients_touch_the_cache(tmp_path, monkeypatch):
     _closed_forms(cache)
     assert calls == []
 
-    # a set touches only its base rectangle's entry
     searched = [lambda: [magic_square_holes(7, 4, cache=cache)],
-                lambda: [classical_rectangle(3, 7, cache=cache)],
-                lambda: magic_rectangle_set(3, 5, 3, cache=cache)]
-    keys = [("ms", (7, 4)), ("mr", (3, 7)), ("mr", (3, 5))]
+                lambda: [magic_square_holes(7, 3, cache=cache)]]
+    keys = [("ms", (7, 4)), ("ms", (7, 3))]
     first = [fetch() for fetch in searched]
     assert calls == [(op, *key) for key in keys for op in ("load", "store")]
+    # a set touches only its base rectangle's entry, and a search that runs
+    # dry stores nothing
+    del calls[:]
+    for dry in (lambda: classical_rectangle(9, 7, cache=cache, budget=1_000),
+                lambda: magic_rectangle_set(7, 9, 3, cache=cache, budget=1_000)):
+        with pytest.raises(SearchBudgetExceeded):
+            dry()
+    assert calls == [("load", "mr", (9, 7)), ("load", "mr", (7, 9))]
     # a hit neither searches nor stores
     del calls[:]
     monkeypatch.setattr(ingredients, "_search_assignment", None)
@@ -445,11 +492,14 @@ def test_only_searched_ingredients_touch_the_cache(tmp_path, monkeypatch):
 
 
 def test_realize_stores_only_searched_keys(tmp_path):
-    # product of the catalog MS(5;3) and the searched MR(3,5)
+    # towers over the searched MS(7;3); the product of the catalog MS(5;3)
+    # and the closed-form MR(3,5) stores nothing
     path = tmp_path / "ing.mrx"
     realize(15, 25, 15, 9, cache=path)
+    assert not path.exists()
+    realize(7, 21, 9, 3, cache=path)
     assert [line for line in path.read_text().splitlines()
-            if line.startswith("KEY ")] == ["KEY mr 3 5 -"]
+            if line.startswith("KEY ")] == ["KEY ms 7 3 -"]
 
 
 def test_cache_sees_same_size_tampering_after_store(tmp_path):
@@ -526,6 +576,21 @@ def test_store_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ing.mrx", "pantry.mrx"]
 
 
+def test_a_new_cache_file_follows_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        fresh, kept = tmp_path / "fresh.mrx", tmp_path / "kept.mrx"
+        IngredientCache(fresh).store("ms", (5, 3), parse(golden.SQUARE_5_3))
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o644
+        kept.write_text("")
+        os.chmod(kept, 0o640)
+        IngredientCache(kept).store("ms", (5, 3), parse(golden.SQUARE_5_3))
+        assert stat.S_IMODE(os.stat(kept).st_mode) == 0o640
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.mrx", "kept.mrx"]
+
+
 def _counting_kernel(monkeypatch):
     """Count the search kernel's calls in the returned list."""
     calls = []
@@ -569,7 +634,7 @@ def test_a_rectangle_search_runs_dry_once_in_either_orientation(tmp_path, monkey
     calls = _counting_kernel(monkeypatch)
     path = tmp_path / "ing.mrx"
     cache = IngredientCache(path)
-    for a, b, searched in [(3, 11, 1), (11, 3, 1)]:
+    for a, b, searched in [(7, 9, 1), (9, 7, 1)]:
         with pytest.raises(SearchBudgetExceeded) as info:
             classical_rectangle(a, b, cache=cache, budget=1_000)
         assert (info.value.ingredient, info.value.nodes) == (f"MR({a},{b})", 1_001)
@@ -577,12 +642,15 @@ def test_a_rectangle_search_runs_dry_once_in_either_orientation(tmp_path, monkey
     # memory is per instance: a new one on the same path, or the path, searches
     for other in (IngredientCache(path), str(path)):
         with pytest.raises(SearchBudgetExceeded):
-            classical_rectangle(11, 3, cache=other, budget=1_000)
+            classical_rectangle(9, 7, cache=other, budget=1_000)
     assert len(calls) == 3
-    # a larger budget searches again
-    grid = classical_rectangle(11, 3, cache=cache, budget=162_588)
-    assert len(calls) == 4
-    assert verify(grid, MagicSpec(11, 3, 3, 11)).ok
+    # a larger budget searches again, and its failure is remembered in turn
+    for a, b, searched in [(9, 7, 4), (7, 9, 4)]:
+        with pytest.raises(SearchBudgetExceeded) as info:
+            classical_rectangle(a, b, cache=cache, budget=5_000)
+        assert (info.value.ingredient, info.value.nodes) == (f"MR({a},{b})", 5_001)
+        assert len(calls) == searched
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("budget", [300, 2_500])
