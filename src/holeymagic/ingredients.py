@@ -15,18 +15,18 @@ searched, and the cache holds only those: `ms` and `mr` entries of one
 grid each.  A diagonal profile is one run of the lowest values.  Search
 failure by exhaustion raises NotConstructible; running out of node budget
 raises SearchBudgetExceeded, which is inconclusive and never a
-nonexistence claim.  An IngredientCache remembers such failures in
-memory, never in its file, and answers a repeat at the same or a smaller
-budget without searching again.
+nonexistence claim.  An IngredientCache appends under flock, so
+processes may share one; it remembers failures in memory, never in its
+file, and answers a repeat at the same or a smaller budget at once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import math
 import os
 import re
-import shutil
 import stat
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -685,8 +685,21 @@ def _searched(kind, params, profile, cache, budget, label, search) -> HoleyGrid:
 
 
 def _cache_key(kind: str, params: Sequence[int], profile: Optional[DiagonalProfile]) -> str:
+    """The KEY line's text; ValueError for a key the reader would refuse
+    or read back as another, which would poison the whole file."""
     tag = profile.tag() if profile is not None else "-"
-    return " ".join([kind, *map(str, params), tag])
+    key = " ".join([kind, *map(str, params), tag])
+    if not _reads_back(key):
+        raise ValueError(f"cannot key a cache entry by {key!r}")
+    return key
+
+
+def _reads_back(key: str) -> bool:
+    """Whether a KEY line holding `key` reads back as `key`: one line, and
+    a kind, decimal parameters and a tag joined by single spaces."""
+    parts = key.split(" ")
+    return ("\n" not in key and "\r" not in key and len(parts) >= 2
+            and all(p.isascii() and p.isdigit() for p in parts[1:-1]))
 
 
 def _validate_entry(kind, params, profile, grid):
@@ -707,18 +720,18 @@ def _validate_entry(kind, params, profile, grid):
 
 
 class IngredientCache:
-    """Human-inspectable file of searched ingredients.
+    """Human-inspectable append-only log of searched ingredients.
 
     Each entry is a KEY line ("KEY <kind> <params...> <profile-tag>") and
     one MRX grid.  The file is split at KEY lines only; parse reads a grid
-    when its key loads, so a bad entry fails its own key alone, and stores
-    keep other entries byte for byte (old multi-grid `mrs` ones too).
-    Stores rewrite the file atomically, so readers never see torn writes;
-    they write through a symlink and keep the file's permission bits, and
-    a path that is not a regular file raises CacheError unopened.  Every
-    load and store reads the file afresh; it stays small.  Budget failures
-    are remembered per instance (_searched), never in the file: unlike a
-    grid, a failure cannot be re-verified on load.
+    when its key loads, so a bad entry fails its own key alone.  Stores
+    append under an exclusive flock (POSIX only) and loads read under a
+    shared one, so processes sharing the file keep every entry; the last
+    entry under a key wins, and no byte (old multi-grid `mrs` entries
+    too) is rewritten.  A path that is not a regular file raises
+    CacheError unopened.  Every load and store reads the file afresh.
+    Budget failures are remembered per instance (_searched), never in
+    the file: unlike a grid, a failure cannot be re-verified on load.
     """
 
     def __init__(self, path):
@@ -739,44 +752,30 @@ class IngredientCache:
         return grid
 
     def store(self, kind, params, grid, profile=None):
-        """Add or replace the key's entry; a no-op when the file already
-        holds the same text under the key."""
+        """Append the key's entry, which wins over any earlier one on load;
+        a no-op when the file already holds the same text under the key."""
         key = _cache_key(kind, params, profile)
         text = serialize(grid)
-        entries = self._read()
-        if entries.get(key) == text:
-            return
-        entries[key] = text
-        parts = []
-        for key, text in entries.items():
-            parts += [f"KEY {key}\n", text]
-            if text and not text.endswith("\n"):  # a cut last line must not swallow a KEY
-                parts.append("\n")
-        payload = "".join(parts)
+        self._refuse_special()
         try:
-            path = os.path.realpath(self.path)
-            tmp = os.path.join(os.path.dirname(path), f".ingredients-{os.urandom(8).hex()}")
-            # 0o666 under the umask, as open() would create the file
-            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                with contextlib.suppress(FileNotFoundError):  # an existing file keeps its bits
-                    shutil.copymode(path, tmp)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            with open(self.path, "a+") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)  # held until close, after the flush
+                fh.seek(0)
+                raw = fh.read()
+                if self._entries(raw).get(key) != text:
+                    cut = raw[-1:] not in ("", "\n")  # a cut last line must not swallow a KEY
+                    fh.write("\n" * cut + f"KEY {key}\n{text}")
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CorruptCache(f"{self.path}: undecodable bytes: {exc}") from exc
 
     def _read(self) -> Dict[str, str]:
         """The file's entries, key to text, read afresh."""
+        self._refuse_special()
         try:
-            if not stat.S_ISREG(os.stat(self.path).st_mode):  # a FIFO would block open
-                raise CacheError(f"cannot read cache {self.path}: not a regular file")
             with open(self.path, "r") as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
                 raw = fh.read()
         except FileNotFoundError:
             return {}
@@ -784,14 +783,24 @@ class IngredientCache:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CorruptCache(f"{self.path}: undecodable bytes: {exc}") from exc
+        return self._entries(raw)
+
+    def _refuse_special(self):
+        """CacheError, before any open, for a path that is no regular file."""
+        with contextlib.suppress(FileNotFoundError):
+            if not stat.S_ISREG(os.stat(self.path).st_mode):  # a FIFO would block open
+                raise CacheError(f"cannot read cache {self.path}: not a regular file")
+
+    def _entries(self, raw: str) -> Dict[str, str]:
+        """Key to text, split at KEY lines only; a later entry under a key
+        wins, which is what makes an append a replacement."""
         first, *chunks = re.split(r"(?m)^KEY ", raw)
         if first:
             raise CorruptCache(f"{self.path}: expected KEY line at line 1")
         entries: Dict[str, str] = {}
         for chunk in chunks:
             key, _, text = chunk.partition("\n")
-            parts = key.split(" ")
-            if len(parts) < 2 or not all(p.isascii() and p.isdigit() for p in parts[1:-1]):
+            if not _reads_back(key):
                 raise CorruptCache(f"{self.path}: malformed key {key!r}")
             entries[key] = text
         return entries

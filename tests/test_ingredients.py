@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import pickle
@@ -32,6 +33,7 @@ from holeymagic.ingredients import (
     classical_rectangle,
     magic_rectangle_set,
     magic_square_holes,
+    require_magic,
     require_ms,
 )
 
@@ -589,6 +591,97 @@ def test_a_new_cache_file_follows_the_umask(tmp_path):
     finally:
         os.umask(old)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.mrx", "kept.mrx"]
+
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ms", (7.0, 3)), ("ms", (-1, 3)), ("ms", (True, 3)), ("m s", (7, 3)),
+    ("m\ns", (7, 3)), ("m\rs", (7, 3))])
+def test_a_key_the_reader_would_refuse_is_never_written(tmp_path, kind, params):
+    path = tmp_path / "ing.mrx"
+    cache = IngredientCache(path)
+    square = parse(golden.SQUARE_5_3)
+    cache.store("ms", (5, 3), square)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        cache.store(kind, params, square)
+    assert path.read_bytes() == before
+    assert cache.load("ms", (5, 3)) == square
+    assert cache.load("ms", (7, 3)) is None
+
+
+def test_a_store_appends_and_the_newer_entry_wins(tmp_path):
+    path = tmp_path / "ing.mrx"
+    cache = IngredientCache(path)
+    cache.store("ms", (5, 3), parse(golden.SQUARE_5_3))
+    square = magic_square_holes(7, 3)
+    flipped = HoleyGrid.from_rows(zip(*square.cells))  # another valid MS(7;3)
+    assert flipped != square
+    for grid in (square, flipped):
+        before = path.read_bytes()
+        cache.store("ms", (7, 3), grid)
+        assert path.read_bytes() == before + f"KEY ms 7 3 -\n{serialize(grid)}".encode()
+        assert cache.load("ms", (7, 3)) == grid
+    assert IngredientCache(path).load("ms", (7, 3)) == flipped
+    assert cache.load("ms", (5, 3)) == parse(golden.SQUARE_5_3)
+
+
+# Every full MR(a,b) with even sides from 2 to 18 but (2,2): 80 keys.
+EVEN_PAIRS = [(a, b) for a in range(2, 19, 2) for b in range(2, 19, 2) if a + b > 4]
+CHILD = """\
+import os, sys
+from holeymagic import IngredientCache
+from holeymagic.ingredients import classical_rectangle
+role, path, done, *pairs = sys.argv[1:]
+pairs = [tuple(map(int, p.split(","))) for p in pairs]
+cache = IngredientCache(path)
+grids = [classical_rectangle(a, b) for a, b in pairs]
+print("ready", flush=True)
+sys.stdin.readline()
+if role == "writer":
+    for params, grid in zip(pairs, grids):
+        cache.store("mr", params, grid)
+else:  # load every key until the writers are done, then once more
+    passes = 0
+    while passes == 0 or not os.path.exists(done):
+        assert all(cache.load("mr", p) in (None, g) for p, g in zip(pairs, grids))
+        passes += 1
+    print(passes)
+"""
+
+
+def test_concurrent_writers_keep_every_entry(tmp_path):
+    assert len(EVEN_PAIRS) == 80
+    path, done = tmp_path / "ing.mrx", tmp_path / "done"
+    src = os.path.dirname(os.path.dirname(ingredients.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [[sys.executable, "-c", CHILD, role, str(path), str(done)]
+            + [f"{a},{b}" for a, b in pairs]
+            for role, pairs in [("writer", EVEN_PAIRS[:40]), ("writer", EVEN_PAIRS[40:]),
+                                ("reader", EVEN_PAIRS)]]
+    with contextlib.ExitStack() as stack:
+        children = []
+        for args in argv:
+            children.append(stack.enter_context(subprocess.Popen(
+                args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, env=env)))
+            stack.callback(children[-1].kill)  # a no-op once the child is done
+        for child in children:  # every child is set up before any store starts
+            assert child.stdout.readline() == "ready\n"
+        for child in children:
+            child.stdin.write("go\n")
+            child.stdin.close()
+        for child in children[:2]:
+            assert (child.wait(timeout=60), child.stderr.read()) == (0, "")
+        done.touch()
+        reader = children[2]
+        assert (reader.wait(timeout=60), reader.stderr.read()) == (0, "")
+        assert int(reader.stdout.read()) > 0
+    keys = [line for line in path.read_text().splitlines() if line.startswith("KEY ")]
+    assert sorted(keys) == sorted(f"KEY mr {a} {b} -" for a, b in EVEN_PAIRS)
+    cache = IngredientCache(path)
+    for a, b in EVEN_PAIRS:
+        require_magic(cache.load("mr", (a, b)), MagicSpec(a, b, b, a), f"MR({a},{b})")
 
 
 def _counting_kernel(monkeypatch):
