@@ -144,8 +144,7 @@ def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
 # refused shape never starts a search.
 
 def _stacked_gate(m: int, k: int, s: int) -> None:
-    if min(m, k, s) < 1:
-        raise ValueError("m, k and s must be positive")
+    existence.require_positive_ints("m, k and s", m, k, s)
     if s != 2 and not existence.nmss_exists(m, s, k):
         raise NotConstructible(
             f"no MR({m},{k * m};{k * s},{s}): need 2 <= s <= m and s even or km odd"
@@ -153,8 +152,7 @@ def _stacked_gate(m: int, k: int, s: int) -> None:
 
 
 def _nmss_gate(m: int, s: int, t: int) -> None:
-    if min(m, s, t) < 1:
-        raise ValueError("m, s and t must be positive")
+    existence.require_positive_ints("m, s and t", m, s, t)
     if not existence.nmss_exists(m, s, t):
         raise NotConstructible(
             f"no NMSS({m},{s};{t}): need 3 <= s <= m and s even or mt odd"
@@ -162,8 +160,7 @@ def _nmss_gate(m: int, s: int, t: int) -> None:
 
 
 def _five_case_gate(m: int, s: int) -> None:
-    if m < 1 or s < 1:
-        raise ValueError("m and s must be positive")
+    existence.require_positive_ints("m and s", m, s)
     if not existence.five_case_exists(m, s):
         raise NotConstructible(
             f"no MR({2 * m},{3 * m};{3 * s},{2 * s}): need s even and s <= m"

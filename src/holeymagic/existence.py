@@ -140,15 +140,20 @@ _NOT_EXISTS = {reason: Decision("not-exists", reason=reason) for reason in REASO
 _UNKNOWN = Decision("unknown")
 
 
+def require_positive_ints(names: str, *values) -> None:
+    """ValueError unless every value is a positive int; a bool is not."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{names} must be positive integers")
+
+
 def necessary_conditions(m: int, n: int, r: int, s: int) -> List[str]:
     """Violated necessary conditions, in a fixed order; empty means none.
 
     Malformed shapes (m*r != n*s, r > n, s > m) report ShapeInfeasible
     alone: the finer tests presuppose a well-formed shape.
     """
-    for v in (m, n, r, s):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError("m, n, r, s must be positive integers")
+    require_positive_ints("m, n, r, s", m, n, r, s)
     if m * r != n * s or r > n or s > m:
         return ["ShapeInfeasible"]
     out = []

@@ -152,8 +152,7 @@ def require_ms(square: HoleyGrid, m: int, s: int) -> frozenset:
 
 
 def _mrs_gate(a: int, b: int, c: int) -> None:
-    if min(a, b, c) < 1:
-        raise ValueError("a, b and c must be positive")
+    existence.require_positive_ints("a, b and c", a, b, c)
     if not existence.mrs_exists(a, b, c):
         raise NotConstructible(
             f"no MRS({a},{b};{c}): need 1 < a <= b, and a,b,c all odd "
@@ -171,8 +170,7 @@ def two_per_column(m: int, k: int) -> HoleyGrid:
     The k even and k odd cases fill the subsquare diagonals with different
     value ranges; row indices wrap modulo m.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
+    existence.require_positive_ints("m and k", m, k)
     if k == 1:
         raise NotConstructible(f"MR({m},{m};2,2) does not exist for any m")
     if m == 1:
@@ -328,36 +326,43 @@ class _Budget:
         self.label = label
 
 
-def _staircase_key(cell):
-    """Fill order that completes row 0, column 0, row 1, column 1, ... so
-    both line constraints start binding as early as possible."""
-    i, j = cell
-    return (min(i, j), 0 if i <= j else 1, max(i, j))
+def _staircase(rows, cols, s):
+    """Cells (i, j) of a rows x cols grid, rows <= cols, with j - i >=
+    cols - s or 1 <= i - j <= s (all of them at s = cols, the diagonals
+    m-s..m-1 of a square), in the fill order that completes row 0, column
+    0, row 1, column 1, ... so both line constraints bind early."""
+    cells = []
+    for t in range(rows):
+        cells += [(t, j) for j in range(t + cols - s, cols)]
+        cells += [(i, t) for i in range(t + 1, min(t + s + 1, rows))]
+    return cells
 
 
 def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
     """First exact assignment of distinct values to cells, or None.
 
     Cells are filled in index order.  cell_domain: domain index of each
-    cell; lines: list of (target, cell indices in fill order); domains:
-    list of ascending value tuples with exact counts (each domain holds as
-    many values as cells).  precedes: (earlier, later) cell pairs whose
-    values must increase, the earlier cell coming first in fill order; used
-    to break row/column permutation symmetry.
+    cell; lines: list of (target, cell indices in fill order), every cell
+    on exactly two of them, its row and its column (ValueError otherwise);
+    domains: list of ascending value tuples with exact counts (each domain
+    holds as many values as cells).  precedes: (earlier, later) cell pairs
+    whose values must increase, the earlier cell coming first in fill
+    order; used to break row/column permutation symmetry.
 
     Each domain keeps its unused values as one ascending free list: a
     placement pops the value at its position and backtracking re-inserts
     it there.  A cell's candidates are the free values from just above its
-    precedence floor up to the smallest remaining line target, tried in
+    precedence floor up to the smaller of its two line targets, tried in
     ascending order.  A candidate can be placed when, on each line of the
     cell, the gap it leaves lies between the sums of the k smallest and of
     the k largest free values the line's k later cells can take.  Taking
     the candidate out of its domain trades it for the next free value only
     when it is among those k, so the candidates that pass form one window
-    of the free list: the kernel bisects to it on entering a cell and
-    keeps it while it resumes the cell, whose state is then the same.  The
-    search is an explicit-stack loop, so its depth is not limited by the
-    interpreter's recursion limit.
+    of the free list: the kernel bisects to it on entering a cell, bounding
+    it by the first line `lines` lists the cell on and then the second,
+    and keeps it while it resumes the cell, whose state is then the same.
+    The search is an explicit-stack loop, so its depth is not limited by
+    the interpreter's recursion limit.
 
     Charges one budget unit per attempted placement, as if every candidate
     were tried in turn: the candidates the window skips are charged in one
@@ -366,83 +371,102 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
     """
     ncells = len(cell_domain)
     gap = [t for t, _ in lines]  # a line's target minus its placed values
-    # per cell: (line, (domain, count) pairs of that line's later cells,
-    # how many of those cells share the cell's own domain)
-    checks: List[List[tuple]] = [[] for _ in range(ncells)]
+    free = [list(d) for d in domains]
+    # per cell: its domain's free list, the cells it must exceed, then for
+    # each of its two lines the line, (domain, count) pairs of that line's
+    # later cells and how many of those cells share the cell's own domain
+    cells: List[list] = [[free[d], []] for d in cell_domain]
+    for earlier, later in precedes:
+        cells[later][1].append(earlier)
     for L, (_, seq) in enumerate(lines):
         counts: Dict[int, int] = {}
         for c in reversed(seq):
             d = cell_domain[c]
             k = counts.get(d, 0)
-            checks[c].append((L, tuple(counts.items()), k))
+            cells[c] += (L, tuple(counts.items()), k)
             counts[d] = k + 1
-    lines_of = [tuple(L for L, _, _ in mine) for mine in checks]
-    prec_of: List[List[int]] = [[] for _ in range(ncells)]
-    for earlier, later in precedes:
-        prec_of[later].append(earlier)
+    for c, mine in enumerate(cells):
+        if len(mine) != 8:
+            raise ValueError(f"cell {c} is not on exactly two lines: {(len(mine) - 2) // 3}")
 
-    free = [list(d) for d in domains]
     assignment = [0] * ncells
     pos_of = [0] * ncells  # free-list position each placed value came from
     stop = [0] * ncells  # end of the cell's window of placeable positions
-    end = [0] * ncells  # end of its candidates, the smallest gap's bisect
+    end = [0] * ncells  # end of its candidates, the smaller gap's bisect
     left = budget.left
     idx, pos = 0, None  # pos None: cell idx is entered afresh, not resumed
     while idx < ncells:
-        f = free[cell_domain[idx]]
+        f, prec, row, row_rest, row_k, col, col_rest, col_k = cells[idx]
         if pos is None:
-            prec = prec_of[idx]
-            pos = at = bisect_right(f, max([assignment[p] for p in prec]) if prec else -1)
-            end[idx] = upto = bisect_right(f, min([gap[L] for L in lines_of[idx]]))
+            pos = at = bisect_right(f, max([assignment[p] for p in prec])) if prec else 0
+            g, h = gap[row], gap[col]
+            end[idx] = upto = bisect_right(f, g if g < h else h)
             last = len(f) - 1
-            for L, rest, k in checks[idx]:
-                if at >= upto:
-                    break
+            # position p passes a line iff f[max(p, k)] <= most and
+            # f[min(p, last - k)] >= least: a v among the k smallest
+            # (largest) free values is traded for f[k] (f[last - k])
+            if at < upto:
                 lo = hi = 0
-                for d, c in rest:
+                for d, n in row_rest:
                     fd = free[d]
-                    if c == 1:
+                    if n == 1:
                         lo += fd[0]
                         hi += fd[-1]
                     else:
-                        lo += sum(fd[:c])
-                        hi += sum(fd[-c:])
-                # position p passes iff f[max(p, k)] <= most and
-                # f[min(p, last - k)] >= least: a v among the k smallest
-                # (largest) free values is traded for f[k] (f[last - k])
-                most, least = gap[L] - lo, gap[L] - hi
-                if f[k] > most or f[last - k] < least:
+                        lo += sum(fd[:n])
+                        hi += sum(fd[-n:])
+                most, least = g - lo, g - hi
+                if f[row_k] > most or f[last - row_k] < least:
                     upto = at
-                    break
-                at = bisect_left(f, least, at, upto)
-                upto = bisect_right(f, most, at, upto)
+                else:
+                    at = bisect_left(f, least, at, upto)
+                    upto = bisect_right(f, most, at, upto)
+            if at < upto:
+                lo = hi = 0
+                for d, n in col_rest:
+                    fd = free[d]
+                    if n == 1:
+                        lo += fd[0]
+                        hi += fd[-1]
+                    else:
+                        lo += sum(fd[:n])
+                        hi += sum(fd[-n:])
+                most, least = h - lo, h - hi
+                if f[col_k] > most or f[last - col_k] < least:
+                    upto = at
+                else:
+                    at = bisect_left(f, least, at, upto)
+                    upto = bisect_right(f, most, at, upto)
             stop[idx] = upto
         else:
-            at = pos  # resumed inside or past the window: no bound to check
-        if at < stop[idx]:
+            at, upto = pos, stop[idx]  # resumed inside or past the window
+        if at < upto:
             spent = at - pos + 1
         else:
-            spent = max(end[idx] - pos, 0)
+            spent = end[idx] - pos
+            if spent < 0:
+                spent = 0
         if spent > left:
             budget.left = -1
             raise SearchBudgetExceeded(budget.label, budget.total + 1)
         left -= spent
-        if at >= stop[idx]:
+        if at >= upto:
             # candidates exhausted: take back the previous cell's value and
             # resume that cell after it
             if idx == 0:
                 budget.left = left
                 return None
             idx -= 1
+            f, _, row, _, _, col, _, _ = cells[idx]
             v, pos = assignment[idx], pos_of[idx]
-            for L in lines_of[idx]:
-                gap[L] += v
-            free[cell_domain[idx]].insert(pos, v)
+            gap[row] += v
+            gap[col] += v
+            f.insert(pos, v)
             pos += 1
             continue
         v = f.pop(at)
-        for L in lines_of[idx]:
-            gap[L] -= v
+        gap[row] -= v
+        gap[col] -= v
         assignment[idx], pos_of[idx] = v, at
         idx, pos = idx + 1, None
     budget.left = left
@@ -452,22 +476,28 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
 # ---------------------------------------------------------------------------
 # holey magic squares
 
-def _ms_anchored(m, s, q, budget):
-    """Search MS(m;s) with its lowest qm values on q <= s consecutive
-    diagonals of the canonical support {m-s..m-1}, the b-th holding
-    bm..bm+m-1, trying every anchor in order; the rest of the support
-    shares the other values (q = 0: all of them).  Returns None when every
-    anchor's space is exhausted.
-    """
-    total = m * s
-    support = list(range(m - s, m))
-    target = s * (total - 1) // 2
-
-    cells = sorted(((i, (i + d) % m) for d in support for i in range(m)), key=_staircase_key)
-    lines = [(target, []) for _ in range(2 * m)]  # rows, then columns
+def _square_problem(m, s):
+    """Cells of the canonical support {m-s..m-1} in staircase order and
+    the 2m lines, rows then columns, of an MS(m;s) search."""
+    cells = _staircase(m, m, s)
+    target = s * (m * s - 1) // 2
+    lines = [(target, []) for _ in range(2 * m)]
     for idx, (i, j) in enumerate(cells):
         lines[i][1].append(idx)
         lines[m + j][1].append(idx)
+    return cells, lines
+
+
+def _ms_anchored(m, s, q, problem, budget):
+    """Search MS(m;s), on the cells and lines of _square_problem(m, s),
+    with its lowest qm values on q <= s consecutive diagonals of the
+    canonical support {m-s..m-1}, the b-th holding bm..bm+m-1, trying
+    every anchor in order; the rest of the support shares the other
+    values (q = 0: all of them).  Returns None when every anchor's space
+    is exhausted.
+    """
+    cells, lines = problem
+    support = list(range(m - s, m))
     if q == 0:
         anchors = range(1)  # no blocks to place, every anchor is the same
     elif s == m:
@@ -477,7 +507,7 @@ def _ms_anchored(m, s, q, budget):
 
     domains = [tuple(range(b * m, (b + 1) * m)) for b in range(q)]
     if q < s:
-        domains.append(tuple(range(q * m, total)))
+        domains.append(tuple(range(q * m, m * s)))
     for anchor in anchors:
         dom_of_diag = {support[(anchor + b) % s]: b for b in range(q)}
         for d in support:
@@ -502,8 +532,7 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
     profile, then cache and search: anchored on the profile's run, or
     layered (all diagonals as value blocks, then all but two, then free).
     """
-    if m < 1 or s < 1:
-        raise ValueError("m and s must be positive")
+    existence.require_positive_ints("m and s", m, s)
     if not existence.ms_exists(m, s):
         raise NotConstructible(
             f"no MS({m};{s}): need m=s=1 or 3 <= s <= m with s even or m odd"
@@ -527,9 +556,10 @@ def _search_square(m, s, profile, budget):
     """Search MS(m;s) with the profile's q blocks anchored, or layered when
     there is no profile: s blocks, then s - 2, then none."""
     b = _Budget(budget, _square_label(m, s, profile))
+    problem = _square_problem(m, s)
     if profile is not None:
         ((q, _, hi),) = profile.required_runs
-        grid = _ms_anchored(m, s, q, b) if q <= s and hi + 1 == q * m else None
+        grid = _ms_anchored(m, s, q, problem, b) if q <= s and hi + 1 == q * m else None
         if grid is None:
             raise NotConstructible(
                 f"no MS({m};{s}) with diagonal profile {profile.tag()} "
@@ -538,7 +568,7 @@ def _search_square(m, s, profile, budget):
         return grid
     # s < m here: the full square has a closed form
     for q in (s, s - 2, 0):
-        grid = _ms_anchored(m, s, q, b)
+        grid = _ms_anchored(m, s, q, problem, b)
         if grid is not None:
             return grid
     raise NotConstructible(f"search exhausted without finding MS({m};{s})")
@@ -558,8 +588,7 @@ def _rect_problem(rows, cols):
     corner and first row/column ascending.
     """
     if rows == cols or (rows >= 4 and (cols <= 8 or cols - rows <= 2)):
-        cells = sorted(((i, j) for i in range(rows) for j in range(cols)),
-                       key=_staircase_key)
+        cells = _staircase(rows, cols, cols)
     else:
         cells = [(i, j) for j in range(cols) for i in range(rows)]
     index_of = {c: k for k, c in enumerate(cells)}
@@ -598,8 +627,7 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
     the closed form, then cache and search (odd coprime sides that are both
     at least 7 only).
     """
-    if a < 1 or b < 1:
-        raise ValueError("a and b must be positive")
+    existence.require_positive_ints("a and b", a, b)
     if not existence.mr_exists(a, b):
         raise NotConstructible(
             f"no MR({a},{b}): need a = b (mod 2), a+b > 5 and a,b > 1"

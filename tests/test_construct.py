@@ -52,6 +52,19 @@ def test_two_per_column_rejects_single_square():
         two_per_column(0, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda sq: two_per_column(3.0, 2),
+    lambda sq: stacked(5.0, 5, 3, sq),
+    lambda sq: nmss(5, 3.0, 1, sq),
+    lambda sq: five_case(True, 2, sq, sq),
+    lambda sq: block_set(3, 5.0, 3, []),
+], ids=["two_per_column", "stacked", "nmss", "five_case", "block_set"])
+def test_builders_take_positive_int_sides(build):
+    # the rule of existence.necessary_conditions, as at the ingredient gates
+    with pytest.raises(ValueError, match="must be positive integers"):
+        build(parse(golden.SQUARE_5_3))
+
+
 def test_stacked_golden():
     square = parse(golden.SQUARE_5_3)
     assert serialize(stacked(5, 5, 3, square)) == golden.STACKED_5_5_3

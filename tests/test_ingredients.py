@@ -66,6 +66,19 @@ def test_square_existence_gates():
         magic_square_holes(0, 1)
 
 
+@pytest.mark.parametrize("fetch", [
+    lambda: magic_square_holes(7.0, 3, budget=10),
+    lambda: classical_rectangle(7.0, 9, budget=10),
+    lambda: magic_rectangle_set(3.0, 5, 1, budget=10),
+    lambda: magic_square_holes(True, 1),
+], ids=["ms_float", "mr_float", "mrs_float", "ms_bool"])
+def test_ingredient_sides_are_positive_ints(fetch):
+    # the rule of existence.necessary_conditions: a float side must not
+    # reach a search or a closed form, and a bool is not the integer 1
+    with pytest.raises(ValueError, match="must be positive integers"):
+        fetch()
+
+
 def test_searched_square_properties():
     for m, s in [(3, 3), (5, 4), (7, 3), (6, 6)]:
         g = magic_square_holes(m, s)
@@ -858,24 +871,31 @@ def test_deep_search_does_not_recurse():
 
 
 def _differential_searches():
-    """(id, search at a node budget) for every search the windowed kernel
-    is compared on with the reference kernel."""
+    """(id, search at a node budget, largest budget) for every search the
+    windowed kernel is compared on with the reference kernel."""
     for m in range(4, 16):
         for s in range(1, m + 1):
             if existence.ms_exists(m, s):
-                yield f"ms_{m}_{s}", lambda b, m=m, s=s: [_search_square(m, s, None, b)]
+                yield f"ms_{m}_{s}", lambda b, m=m, s=s: [_search_square(m, s, None, b)], 20_000
     # FiveCase-style profiles: the lowest s/4 diagonals hold the lowest values
     for m, s in [(6, 4), (8, 4), (10, 4), (12, 6)]:
         profile = DiagonalProfile(((s // 4, 0, m * (s // 4) - 1),))
-        yield f"ms_{m}_{s}_profile", lambda b, m=m, s=s, p=profile: [_search_square(m, s, p, b)]
+        yield (f"ms_{m}_{s}_profile",
+               lambda b, m=m, s=s, p=profile: [_search_square(m, s, p, b)], 20_000)
     for a in range(1, 8):
         for b in range(1, 20):
             if existence.mr_exists(a, b):
-                yield f"mr_{a}_{b}", lambda n, a=a, b=b: [_search_rectangle(a, b, n, "MR")]
+                yield f"mr_{a}_{b}", lambda n, a=a, b=b: [_search_rectangle(a, b, n, "MR")], 20_000
+    # the benchmark sweep's hot path at its 2 500-node budget: thin squares
+    # at its sizes and odd coprime rectangles that still search
+    for m, s in [(41, 3), (25, 5), (40, 6), (33, 8)]:
+        yield f"sweep_ms_{m}_{s}", lambda b, m=m, s=s: [_search_square(m, s, None, b)], 2_500
+    for a, b in [(7, 9), (9, 11)]:
+        yield f"sweep_mr_{a}_{b}", lambda n, a=a, b=b: [_search_rectangle(a, b, n, "MR")], 2_500
 
 
 DIFFERENTIAL_SEARCHES = list(_differential_searches())
-# each search runs at the largest budget and at one smaller one, in turn
+# each search runs at its largest budget and at one smaller one, in turn
 DIFFERENTIAL_BUDGETS = [1, 2, 9, 80, 700, 4_000, 12_000]
 
 
@@ -903,10 +923,21 @@ def _outcomes(kernel, search, budgets, monkeypatch):
 
 
 @pytest.mark.parametrize("case", range(len(DIFFERENTIAL_SEARCHES)),
-                         ids=[name for name, _ in DIFFERENTIAL_SEARCHES])
+                         ids=[name for name, _, _ in DIFFERENTIAL_SEARCHES])
 def test_windowed_kernel_matches_reference(case, monkeypatch):
-    _, search = DIFFERENTIAL_SEARCHES[case]
-    budgets = (DIFFERENTIAL_BUDGETS[case % len(DIFFERENTIAL_BUDGETS)], 20_000)
+    _, search, top = DIFFERENTIAL_SEARCHES[case]
+    smaller = [b for b in DIFFERENTIAL_BUDGETS if b < top]
+    budgets = (smaller[case % len(smaller)], top)
     kernels = (ingredients._search_assignment, support.reference_search_assignment)
     windowed, reference = (_outcomes(k, search, budgets, monkeypatch) for k in kernels)
     assert windowed == reference
+
+
+@pytest.mark.parametrize("nlines", [1, 3])
+def test_kernel_refuses_a_cell_not_on_two_lines(nlines):
+    # the kernel keeps one row and one column per cell; the reference
+    # kernel, which takes any lines, solves the same toy problem
+    lines = [(5, [0])] * nlines
+    assert support.reference_search_assignment([0], lines, [(5,)], ingredients._Budget(9, "toy")) == [5]
+    with pytest.raises(ValueError, match=f"cell 0 is not on exactly two lines: {nlines}"):
+        ingredients._search_assignment([0], lines, [(5,)], ingredients._Budget(9, "toy"))
