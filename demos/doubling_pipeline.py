@@ -1,8 +1,11 @@
 """Walk the doubling pipeline from a bare square to a wide striped rectangle.
 
 Starts with a square with holes, stretches it into towers, then prints each
-stage with its verified line sums so the constant growth is visible.
+stage with its verified line sums so the constant growth is visible.  A
+stage that fails verification makes the script exit 1.
 """
+
+import sys
 
 from holeymagic import (
     MagicSpec,
@@ -25,23 +28,25 @@ def show(title, grid, spec):
     print(f"--- {title}: {grid.rows}x{grid.cols}, "
           f"row sum {report.row_constant}, col sum {report.col_constant} [{state}]")
     print(serialize(grid), end="")
+    return report.ok
 
 
 def main():
     square = magic_square_holes(SIDE, DIAGONALS)
-    show(f"seed square, {DIAGONALS} per line",
-         square, MagicSpec(SIDE, SIDE, DIAGONALS, DIAGONALS))
+    ok = show(f"seed square, {DIAGONALS} per line",
+              square, MagicSpec(SIDE, SIDE, DIAGONALS, DIAGONALS))
     print()
 
     plain = two_per_column(SIDE, COPIES)
-    show(f"{COPIES} copies, two per column",
-         plain, MagicSpec(SIDE, COPIES * SIDE, 2 * COPIES, 2))
+    ok &= show(f"{COPIES} copies, two per column",
+               plain, MagicSpec(SIDE, COPIES * SIDE, 2 * COPIES, 2))
     print()
 
     wide = stacked(SIDE, COPIES, DIAGONALS, square)
-    show(f"{COPIES} towers from the seed",
-         wide, MagicSpec(SIDE, COPIES * SIDE, COPIES * DIAGONALS, DIAGONALS))
+    ok &= show(f"{COPIES} towers from the seed",
+               wide, MagicSpec(SIDE, COPIES * SIDE, COPIES * DIAGONALS, DIAGONALS))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,10 +3,12 @@
 Sweeps every well-shaped (m, n, r, s) up to a cell-count bound, asks the
 decision procedure for a verdict, and tallies the answers by route and by
 refutation reason.  Shapes small enough for brute force get cross-checked
-against the exhaustive oracle on the way.
+against the exhaustive oracle on the way; any disagreement makes the
+script exit 1.
 """
 
 import argparse
+import sys
 from collections import Counter
 
 from holeymagic import decide
@@ -67,7 +69,8 @@ def main():
     for reason, count in reasons.most_common():
         print(f"  {reason:>20}: {count}")
     print(f"oracle cross-checks: {checked}, disagreements: {mismatches}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

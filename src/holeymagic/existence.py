@@ -71,9 +71,10 @@ def _stacked(m, n, r, s):
 
 
 def _five_case(m, n, r, s):
-    d = math.gcd(m, n)
-    if (m // d, n // d) == (2, 3) and five_case_exists(d, s // 2):
-        return (d, s // 2)
+    # m : n is 2 : 3 in lowest terms exactly when 3m = 2n, and then the
+    # common factor is m/2
+    if 3 * m == 2 * n and five_case_exists(m // 2, s // 2):
+        return (m // 2, s // 2)
     return None
 
 
@@ -140,10 +141,18 @@ _NOT_EXISTS = {reason: Decision("not-exists", reason=reason) for reason in REASO
 _UNKNOWN = Decision("unknown")
 
 
+def is_int(v) -> bool:
+    """Whether v is an int, an int subclass such as IntEnum included; a bool
+    is not."""
+    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+
+
 def require_positive_ints(names: str, *values) -> None:
     """ValueError unless every value is a positive int; a bool is not."""
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        if type(v) is int and v >= 1:
+            continue
+        if not is_int(v) or v < 1:
             raise ValueError(f"{names} must be positive integers")
 
 
@@ -153,15 +162,19 @@ def necessary_conditions(m: int, n: int, r: int, s: int) -> List[str]:
     Malformed shapes (m*r != n*s, r > n, s > m) report ShapeInfeasible
     alone: the finer tests presuppose a well-formed shape.
     """
-    require_positive_ints("m, n, r, s", m, n, r, s)
-    if m * r != n * s or r > n or s > m:
+    # exact ints, nearly every call, skip require_positive_ints' loop
+    if not (type(m) is int and type(n) is int and type(r) is int and type(s) is int
+            and m >= 1 and n >= 1 and r >= 1 and s >= 1):
+        require_positive_ints("m, n, r, s", m, n, r, s)
+    total = m * r
+    if total != n * s or r > n or s > m:
         return ["ShapeInfeasible"]
     out = []
-    total = m * r
-    if r % 2 == 1 and total % 2 == 0:
-        out.append("RowSumNonIntegral")
-    if s % 2 == 1 and total % 2 == 0:
-        out.append("ColSumNonIntegral")
+    if total % 2 == 0:
+        if r % 2 == 1:
+            out.append("RowSumNonIntegral")
+        if s % 2 == 1:
+            out.append("ColSumNonIntegral")
     if m == n and r == 2 and s == 2:
         out.append("TwoTwoSquare")
     return out
@@ -171,12 +184,12 @@ def decide(m: int, n: int, r: int, s: int) -> Decision:
     """Decide whether MR(m,n;r,s) exists: the first route in ROUTES that
     covers a shape violating no necessary condition."""
     violated = necessary_conditions(m, n, r, s)
-    if violated == ["ShapeInfeasible"]:
-        return _NOT_EXISTS["ShapeInfeasible"]
     if not violated:
         for route, params in ROUTES.items():
             if params(m, n, r, s) is not None:
                 return _EXISTS[route]
+    elif violated[0] == "ShapeInfeasible":  # reported alone
+        return _NOT_EXISTS["ShapeInfeasible"]
     if r == n:
         # full rectangle (the shape screen forces s = m) that no route
         # covers: its integrality tags all follow from a parity mismatch, so

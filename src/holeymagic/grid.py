@@ -18,6 +18,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import ParseError, ShapeError
+from .existence import is_int
 
 Cell = Optional[int]
 Cells = Tuple[Tuple[Cell, ...], ...]
@@ -43,6 +44,8 @@ class HoleyGrid:
     cells: Cells
 
     def __post_init__(self):
+        if not (is_int(self.rows) and is_int(self.cols)):
+            raise ValueError(f"grid dimensions must be integers, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ShapeError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         cells = tuple(map(tuple, self.cells))  # rows given as lists still hash and compare
@@ -54,7 +57,7 @@ class HoleyGrid:
             for v in row:
                 if v is None or type(v) is int and v >= 0:
                     continue
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                if not is_int(v) or v < 0:
                     raise ValueError(f"cell values must be nonnegative integers, got {v!r}")
                 subclassed = True
         if subclassed:  # an int subclass such as IntEnum may print as a name
@@ -88,6 +91,8 @@ class MagicSpec:
     s: int
 
     def __post_init__(self):
+        if not all(map(is_int, (self.m, self.n, self.r, self.s))):
+            raise ValueError(f"spec parameters must be integers: {self}")
         if min(self.m, self.n, self.r, self.s) < 1:
             raise ShapeError(f"spec parameters must be positive: {self}")
         if self.m * self.r != self.n * self.s:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from .errors import ParityError
+from .existence import require_positive_ints
 from .grid import Cells, HoleyGrid
 
 
@@ -30,16 +31,14 @@ class KotzigArray:
 
 def base_pair(k: int) -> KotzigArray:
     """2 x k block: identity permutation over its reversal."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    require_positive_ints("k", k)
     top = tuple(range(k))
     return KotzigArray(2, k, (top, top[::-1]))
 
 
 def base_triple(k: int) -> KotzigArray:
     """3 x k block for odd k; every column sums to 3(k-1)/2."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    require_positive_ints("k", k)
     if k % 2 == 0:
         raise ParityError(f"three-row block needs odd k, got {k}")
     h = (k - 1) // 2
@@ -57,8 +56,7 @@ def kotzig(s: int, k: int) -> KotzigArray:
     row only works over a single symbol, and a single column only with the
     all-zero array for odd s.
     """
-    if s < 1 or k < 1:
-        raise ValueError("s and k must be positive")
+    require_positive_ints("s and k", s, k)
     if s % 2 == 1 and k % 2 == 0:
         raise ParityError(f"no Kotzig array for odd s={s} and even k={k}")
     if s % 2 == 1 and k == 1:

@@ -58,7 +58,9 @@ def test_two_per_column_rejects_single_square():
     lambda sq: nmss(5, 3.0, 1, sq),
     lambda sq: five_case(True, 2, sq, sq),
     lambda sq: block_set(3, 5.0, 3, []),
-], ids=["two_per_column", "stacked", "nmss", "five_case", "block_set"])
+    lambda sq: stacked(5, True, 3, sq),
+    lambda sq: nmss(5, 3, 2.0, sq),
+], ids=["two_per_column", "stacked", "nmss", "five_case", "block_set", "stacked_bool", "nmss_float"])
 def test_builders_take_positive_int_sides(build):
     # the rule of existence.necessary_conditions, as at the ingredient gates
     with pytest.raises(ValueError, match="must be positive integers"):

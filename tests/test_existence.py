@@ -1,8 +1,9 @@
+import enum
 import hashlib
 
 import pytest
 
-from holeymagic import Decision, decide, necessary_conditions
+from holeymagic import Decision, decide, necessary_conditions, realize, two_per_column
 from holeymagic.existence import REASONS
 
 
@@ -115,3 +116,53 @@ def test_verdicts_pinned():
                     tags = ",".join(necessary_conditions(m, n, r, s))
                     h.update(f"{m} {n} {r} {s} {d.verdict} {d.route} {d.reason} {tags}\n".encode())
     assert h.hexdigest() == DIGEST_1_20
+
+
+# The same line format over every (m,n,r,s) with m*r = n*s <= 250, r <= n
+# and s <= m (6 284 shapes, sides up to 250), frozen before decide and
+# necessary_conditions took their exact-int shortcut.
+DIGEST_MR_250 = "08c5c4402bbe7a31c518a042f1360802c9843f58c730df73d79b8a942a5a6abd"
+
+
+def test_verdicts_pinned_up_to_mr_250():
+    h = hashlib.sha256()
+    count = 0
+    for m in range(1, 251):
+        for r in range(1, 250 // m + 1):
+            total = m * r
+            for n in range(r, total + 1):
+                if total % n == 0 and total // n <= m:
+                    s = total // n
+                    d = decide(m, n, r, s)
+                    tags = ",".join(necessary_conditions(m, n, r, s))
+                    h.update(f"{m} {n} {r} {s} {d.verdict} {d.route} {d.reason} {tags}\n".encode())
+                    count += 1
+    assert count == 6284
+    assert h.hexdigest() == DIGEST_MR_250
+
+
+class Side(enum.IntEnum):
+    TWO = 2
+    THREE = 3
+    FOUR = 4
+    SIX = 6
+    NINE = 9
+
+
+def test_int_enum_sides_are_ints():
+    assert decide(Side.SIX, Side.NINE, Side.SIX, Side.FOUR) == decide(6, 9, 6, 4)
+    assert decide(Side.FOUR, Side.SIX, Side.THREE, Side.TWO) == decide(4, 6, 3, 2)
+    assert necessary_conditions(Side.FOUR, Side.SIX, Side.THREE, Side.TWO) == ["RowSumNonIntegral"]
+    assert two_per_column(Side.THREE, Side.TWO) == two_per_column(3, 2)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("side", range(4), ids=["m", "n", "r", "s"])
+def test_non_int_sides_raise_value_error(bad, side):
+    # the gates of the builders and ingredients: tests/test_construct.py
+    # and tests/test_ingredients.py
+    shape = [2, 4, 4, 2]
+    shape[side] = bad
+    for call in (decide, necessary_conditions, realize):
+        with pytest.raises(ValueError, match="positive integers"):
+            call(*shape)

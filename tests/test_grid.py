@@ -79,6 +79,16 @@ def test_spec_validation():
         MagicSpec(0, 1, 1, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MagicSpec(2.0, 4, 4, 2),
+    lambda: MagicSpec(True, True, True, True),
+    lambda: HoleyGrid(1.0, 1, ((0,),)),
+], ids=["spec-float", "spec-bool", "grid-float"])
+def test_non_int_sizes_raise_value_error(build):
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
 def test_magic_constants_exact():
     c = magic_constants(MagicSpec(5, 10, 4, 2))
     assert (c.row_sum, c.col_sum) == (38, 19)

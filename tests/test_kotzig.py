@@ -51,6 +51,18 @@ def test_parity_gates():
         kotzig(3, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kotzig(3.0, 2),  # not a nonexistence claim: a malformed input
+    lambda: kotzig(2, 3.0),
+    lambda: kotzig(2, True),
+    lambda: base_pair(2.0),
+    lambda: base_triple(3.0),
+], ids=["kotzig-float-s", "kotzig-float-k", "kotzig-bool-k", "base_pair-float", "base_triple-float"])
+def test_non_int_sizes_raise_value_error(call):
+    with pytest.raises(ValueError, match="positive integers"):
+        call()
+
+
 def test_degenerate_single_column():
     arr = kotzig(3, 1)
     assert arr.entries == ((0,), (0,), (0,))

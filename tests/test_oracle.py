@@ -87,6 +87,13 @@ def test_shape_and_argument_errors():
         brute_enumerate(2, 4, 4, 2, node_budget=0)
 
 
+@pytest.mark.parametrize("shape", [(2.0, 4, 4, 2), (True, True, True, True)],
+                         ids=["float", "bool"])
+def test_non_int_sides_raise_value_error(shape):
+    with pytest.raises(ValueError, match="must be integers"):
+        brute_enumerate(*shape)
+
+
 def test_large_gate():
     with pytest.raises(ValueError):
         brute_enumerate(4, 4, 4, 4)
