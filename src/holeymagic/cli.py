@@ -2,10 +2,21 @@
 
 Thin by design: each command maps to one library operation, prints MRX or
 a one-line verdict, and turns library errors into exit codes (1 for
-domain failures, 2 for usage problems).  The construct subcommands that
-match a decide route run that route's build from construct.BUILDS.  The
-argument parser is built once per process, on the first dispatch(), and
-reused by every later call.
+domain failures, 2 for usage problems).
+
+Every subcommand is one row of _COMMANDS: its group, name, help, flags,
+whether it takes --cache, and the call it makes.  The nine commands that
+print grids share one handler, _run_grids: it calls the row's library
+function with the flags' values and the ingredient cache (--cache, else
+$HOLEY_CACHE), and prints what comes back as MRX, be it one grid, a list
+of grids or an NmssResult's squares.  verify, decide, oracle and kotzig
+keep handlers of their own.  A row names its library function as a
+namespace and a key (construct.BUILDS and a route, or a module's vars()
+and a function name) and the function is looked up there at each call,
+never captured when the table is built: holeybench/trace.py rebinds the
+modules' names to wrap them, and tests monkeypatch them.  The argument
+parser is built from the table once per process, on the first dispatch(),
+and reused by every later call.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import sys
 
 from . import construct, existence, ingredients, oracle
 from .errors import HoleyMagicError, ParseError
-from .grid import MagicSpec, parse, serialize, verify
+from .grid import HoleyGrid, MagicSpec, parse, serialize, verify
 from .kotzig import kotzig
 
 
@@ -41,29 +52,12 @@ def dispatch(argv) -> int:
         return 2
 
 
-def _cache_of(args):
+def _run_grids(namespace, key, flags, args) -> int:
     path = getattr(args, "cache", None) or os.environ.get("HOLEY_CACHE")
-    return ingredients.IngredientCache(path) if path else None
-
-
-def _emit(grid) -> int:
-    sys.stdout.write(serialize(grid))
-    return 0
-
-
-def _run_route(route: str, *flags: str):
-    """Handler of a `construct` subcommand: the route's build, with the
-    subcommand's flags as its params."""
-    def run(args) -> int:
-        params = [getattr(args, flag) for flag in flags]
-        return _emit(construct.BUILDS[route](*params, cache=_cache_of(args)))
-    return run
-
-
-def _run_nmss(args) -> int:
-    result = construct._build_nmss(args.m, args.s, args.t, cache=_cache_of(args))
-    for sq in result.squares:
-        sys.stdout.write(serialize(sq))
+    out = namespace[key](*(getattr(args, flag) for flag in flags),
+                         cache=ingredients.IngredientCache(path) if path else None)
+    for grid in [out] if isinstance(out, HoleyGrid) else getattr(out, "squares", out):
+        sys.stdout.write(serialize(grid))
     return 0
 
 
@@ -116,24 +110,46 @@ def _run_kotzig(args) -> int:
     return 0
 
 
-def _run_ingredient_ms(args) -> int:
-    return _emit(ingredients.magic_square_holes(args.m, args.s, cache=_cache_of(args)))
+# Group -> (dest of its subcommand, help).
+_GROUPS = {"construct": ("construction", "build a grid and print it as MRX"),
+           "ingredient": ("ingredient", "fetch or search an ingredient grid")}
 
+# Flags other than a required int --flag: name -> (argument, options).
+_OPTIONS = {
+    "path": ("path", {"nargs": "?", "default": None, "help": "MRX file (default: standard input)"}),
+    "spec": ("--spec", {"type": int, "nargs": 4, "metavar": ("M", "N", "R", "S"),
+                        "required": True}),
+    "cap": ("--cap", {"type": int, "default": 4, "help": "witnesses to keep (default 4)"}),
+    "budget": ("--budget", {"type": int, "default": oracle.DEFAULT_NODE_BUDGET,
+                            "help": "search node budget"}),
+}
 
-def _run_ingredient_mr(args) -> int:
-    return _emit(ingredients.classical_rectangle(args.a, args.b, cache=_cache_of(args)))
-
-
-def _run_ingredient_mrs(args) -> int:
-    members = ingredients.magic_rectangle_set(args.a, args.b, args.c, cache=_cache_of(args))
-    for rect in members:
-        sys.stdout.write(serialize(rect))
-    return 0
-
-
-def _add_cache_flag(sub) -> None:
-    sub.add_argument("--cache", metavar="PATH",
-                     help="ingredient cache file (default: $HOLEY_CACHE if set)")
+# (group, or None at top level; name; help; flags; takes --cache; call), in
+# the order --help lists them.  The call is a handler, or for a command that
+# prints grids the (namespace, key) of its library function.
+_COMMANDS = [
+    ("construct", "two-per-column", "MR(m,km;2k,2)", "m k", False,
+     (construct.BUILDS, "TwoPerColumn")),
+    ("construct", "stacked", "MR(m,km;ks,s)", "m k s", True, (construct.BUILDS, "Stacked")),
+    ("construct", "nmss", "t separate squares sharing one constant", "m s t", True,
+     (vars(construct), "_build_nmss")),
+    ("construct", "product", "MR(am,bm;bs,as) from MS(m;s) x MR(a,b)", "m s a b", True,
+     (construct.BUILDS, "Product")),
+    ("construct", "five-case", "MR(2m,3m;3s,2s)", "m s", True, (construct.BUILDS, "FiveCase")),
+    ("construct", "block-set", "MR(ac,bc;b,a) from an MRS(a,b;c)", "a b c", True,
+     (construct.BUILDS, "BlockSet")),
+    (None, "verify", "check an MRX grid against a spec", "path spec", False, _run_verify),
+    (None, "decide", "existence verdict for MR(m,n;r,s)", "m n r s", False, _run_decide),
+    (None, "oracle", "brute-force enumeration at desk scale", "m n r s cap budget", False,
+     _run_oracle),
+    (None, "kotzig", "print an s x k Kotzig array", "s k", False, _run_kotzig),
+    ("ingredient", "ms", "s-diagonal magic square with holes", "m s", True,
+     (vars(ingredients), "magic_square_holes")),
+    ("ingredient", "mr", "classical full magic rectangle", "a b", True,
+     (vars(ingredients), "classical_rectangle")),
+    ("ingredient", "mrs", "magic rectangle set, printed as MRX blocks", "a b c", True,
+     (vars(ingredients), "magic_rectangle_set")),
+]
 
 
 @functools.cache
@@ -142,102 +158,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="holeymagic",
         description="Construct, verify and decide existence of magic rectangles with empty cells.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    con = top.add_parser("construct", help="build a grid and print it as MRX")
-    csub = con.add_subparsers(dest="construction", required=True)
-
-    p = csub.add_parser("two-per-column", help="MR(m,km;2k,2)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_run_route("TwoPerColumn", "m", "k"))
-
-    p = csub.add_parser("stacked", help="MR(m,km;ks,s)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_route("Stacked", "m", "k", "s"))
-
-    p = csub.add_parser("nmss", help="t separate squares sharing one constant")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_nmss)
-
-    p = csub.add_parser("product", help="MR(am,bm;bs,as) from MS(m;s) x MR(a,b)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_route("Product", "m", "s", "a", "b"))
-
-    p = csub.add_parser("five-case", help="MR(2m,3m;3s,2s)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_route("FiveCase", "m", "s"))
-
-    p = csub.add_parser("block-set", help="MR(ac,bc;b,a) from an MRS(a,b;c)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_route("BlockSet", "a", "b", "c"))
-
-    p = top.add_parser("verify", help="check an MRX grid against a spec")
-    p.add_argument("path", nargs="?", default=None,
-                   help="MRX file (default: standard input)")
-    p.add_argument("--spec", type=int, nargs=4, metavar=("M", "N", "R", "S"),
-                   required=True)
-    p.set_defaults(func=_run_verify)
-
-    p = top.add_parser("decide", help="existence verdict for MR(m,n;r,s)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=_run_decide)
-
-    p = top.add_parser("oracle", help="brute-force enumeration at desk scale")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--cap", type=int, default=4, help="witnesses to keep (default 4)")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_NODE_BUDGET,
-                   help="search node budget")
-    p.set_defaults(func=_run_oracle)
-
-    p = top.add_parser("kotzig", help="print an s x k Kotzig array")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_run_kotzig)
-
-    ing = top.add_parser("ingredient", help="fetch or search an ingredient grid")
-    isub = ing.add_subparsers(dest="ingredient", required=True)
-
-    p = isub.add_parser("ms", help="s-diagonal magic square with holes")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_ingredient_ms)
-
-    p = isub.add_parser("mr", help="classical full magic rectangle")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_ingredient_mr)
-
-    p = isub.add_parser("mrs", help="magic rectangle set, printed as MRX blocks")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    _add_cache_flag(p)
-    p.set_defaults(func=_run_ingredient_mrs)
-
+    groups = {None: parser.add_subparsers(dest="command", required=True)}
+    for group, name, text, flags, cache, call in _COMMANDS:
+        if group not in groups:
+            dest, group_text = _GROUPS[group]
+            groups[group] = groups[None].add_parser(group, help=group_text).add_subparsers(
+                dest=dest, required=True)
+        p = groups[group].add_parser(name, help=text)
+        for flag in flags.split():
+            argument, options = _OPTIONS.get(flag, (f"--{flag}", {"type": int, "required": True}))
+            p.add_argument(argument, **options)
+        if cache:
+            p.add_argument("--cache", metavar="PATH",
+                           help="ingredient cache file (default: $HOLEY_CACHE if set)")
+        grids = isinstance(call, tuple)
+        p.set_defaults(func=functools.partial(_run_grids, *call, flags.split()) if grids else call)
     return parser
 
 

@@ -153,6 +153,8 @@ def require_ms(square: HoleyGrid, m: int, s: int) -> frozenset:
 
 def _mrs_gate(a: int, b: int, c: int) -> None:
     existence.require_positive_ints("a, b and c", a, b, c)
+    if a > b:
+        raise ValueError(f"MRS({a},{b};{c}): give the short side first, a <= b")
     if not existence.mrs_exists(a, b, c):
         raise NotConstructible(
             f"no MRS({a},{b};{c}): need 1 < a <= b, and a,b,c all odd "
@@ -661,9 +663,10 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     """c full a x b rectangles jointly holding 0..abc-1 with shared row sum
     b(abc-1)/2 and column sum a(abc-1)/2.
 
-    Raises NotConstructible unless existence.mrs_exists(a, b, c).  The set
-    is c copies of classical_rectangle(a, b) lifted through a Kotzig array
-    (kotzig.lift), so only an odd coprime base searches.  Even sides use
+    Raises ValueError when a > b and NotConstructible unless
+    existence.mrs_exists(a, b, c).  The set is c copies of
+    classical_rectangle(a, b) lifted through a Kotzig array (kotzig.lift),
+    so only an odd coprime base searches.  Even sides use
     kotzig(2, c) with checkerboard classes.  Odd sides use the rows of
     base_triple(c), their complements c-1-T, the identity and the reversal,
     classed by _odd_set_class: the first three cells of every line of the

@@ -29,6 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
+from .existence import is_int
 from .grid import HoleyGrid, MagicSpec
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -70,10 +71,10 @@ def exists_brute(m: int, n: int, r: int, s: int,
 
 def _check_args(m, n, r, s, witness_cap, node_budget, allow_large) -> None:
     MagicSpec(m, n, r, s)
-    if witness_cap < 0:
-        raise ValueError("witness_cap must be >= 0")
-    if node_budget < 1:
-        raise ValueError("node_budget must be positive")
+    if not is_int(witness_cap) or witness_cap < 0:
+        raise ValueError("witness_cap must be an integer >= 0")
+    if not is_int(node_budget) or node_budget < 1:
+        raise ValueError("node_budget must be a positive integer")
     if m * r > LARGE_VALUE_COUNT and not allow_large:
         raise ValueError(
             f"{m * r} values is beyond the {LARGE_VALUE_COUNT}-value enumeration "

@@ -8,7 +8,7 @@ import sys
 
 from holeymagic import MagicSpec, construct, existence, ingredients, oracle, parse, realize
 from holeymagic import serialize, verify
-from holeymagic.cli import dispatch
+from holeymagic.cli import _build_parser, dispatch
 from holeymagic.grid import above
 from holeymagic.kotzig import kotzig, lift
 
@@ -327,6 +327,11 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "construct", "bogus")[0] == 2
     assert run(capsys, "decide", "--m", "3")[0] == 2
     assert run(capsys, "kotzig", "--s", "0", "--k", "3")[0] == 2
+    # an MRS named long side first is malformed, not refuted: MRS(3,5;c) exists
+    for argv in [["ingredient", "mrs", "--a", "5", "--b", "3", "--c", "1"],
+                 ["construct", "block-set", "--a", "5", "--b", "3", "--c", "3"]]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "short side first" in err
     # a usage error leaves nothing behind in the reused parser
     code, out, err = run(capsys, "decide", "--m", "5", "--n", "10", "--r", "4", "--s", "2")
     assert (code, out, err) == (0, "EXISTS TwoPerColumn\n", "")
@@ -380,3 +385,73 @@ def test_module_entry_point_pipe():
     build.stdout.close()
     assert build.wait(timeout=60) == 0
     assert (check.returncode, check.stdout, check.stderr) == (0, "OK row=22 col=11\n", "")
+
+
+def _surface(parser, path="holeymagic"):
+    """One row per subcommand group and per argument, walking the parser
+    depth-first; the -h actions are left out."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield (path, action.dest, action.required,
+                   tuple((choice.dest, choice.help) for choice in action._choices_actions))
+            for name, sub in action.choices.items():
+                yield from _surface(sub, f"{path} {name}")
+        elif not isinstance(action, argparse._HelpAction):
+            yield (path, tuple(action.option_strings), action.dest, action.type,
+                   action.required, action.default, action.nargs, action.metavar, action.help)
+
+
+def _ints(path, flags):
+    return [(path, (f"--{f}",), f, int, True, None, None, None, None) for f in flags.split()]
+
+
+def _cache(path):
+    return [(path, ("--cache",), "cache", None, False, None, None, "PATH",
+             "ingredient cache file (default: $HOLEY_CACHE if set)")]
+
+
+def test_cli_surface_is_pinned():
+    # compared as parser structure, not --help text, which differs across
+    # Python versions ("optional arguments:" before 3.11, "options:" after)
+    c, i = "holeymagic construct", "holeymagic ingredient"
+    expected = [
+        ("holeymagic", "command", True, (
+            ("construct", "build a grid and print it as MRX"),
+            ("verify", "check an MRX grid against a spec"),
+            ("decide", "existence verdict for MR(m,n;r,s)"),
+            ("oracle", "brute-force enumeration at desk scale"),
+            ("kotzig", "print an s x k Kotzig array"),
+            ("ingredient", "fetch or search an ingredient grid"))),
+        (c, "construction", True, (
+            ("two-per-column", "MR(m,km;2k,2)"),
+            ("stacked", "MR(m,km;ks,s)"),
+            ("nmss", "t separate squares sharing one constant"),
+            ("product", "MR(am,bm;bs,as) from MS(m;s) x MR(a,b)"),
+            ("five-case", "MR(2m,3m;3s,2s)"),
+            ("block-set", "MR(ac,bc;b,a) from an MRS(a,b;c)"))),
+        *_ints(f"{c} two-per-column", "m k"),
+        *_ints(f"{c} stacked", "m k s"), *_cache(f"{c} stacked"),
+        *_ints(f"{c} nmss", "m s t"), *_cache(f"{c} nmss"),
+        *_ints(f"{c} product", "m s a b"), *_cache(f"{c} product"),
+        *_ints(f"{c} five-case", "m s"), *_cache(f"{c} five-case"),
+        *_ints(f"{c} block-set", "a b c"), *_cache(f"{c} block-set"),
+        ("holeymagic verify", (), "path", None, False, None, "?", None,
+         "MRX file (default: standard input)"),
+        ("holeymagic verify", ("--spec",), "spec", int, True, None, 4, ("M", "N", "R", "S"), None),
+        *_ints("holeymagic decide", "m n r s"),
+        *_ints("holeymagic oracle", "m n r s"),
+        ("holeymagic oracle", ("--cap",), "cap", int, False, 4, None, None,
+         "witnesses to keep (default 4)"),
+        ("holeymagic oracle", ("--budget",), "budget", int, False, oracle.DEFAULT_NODE_BUDGET,
+         None, None, "search node budget"),
+        *_ints("holeymagic kotzig", "s k"),
+        (i, "ingredient", True, (
+            ("ms", "s-diagonal magic square with holes"),
+            ("mr", "classical full magic rectangle"),
+            ("mrs", "magic rectangle set, printed as MRX blocks"))),
+        *_ints(f"{i} ms", "m s"), *_cache(f"{i} ms"),
+        *_ints(f"{i} mr", "a b"), *_cache(f"{i} mr"),
+        *_ints(f"{i} mrs", "a b c"), *_cache(f"{i} mrs"),
+    ]
+    assert len(expected) == 49
+    assert list(_surface(_build_parser())) == expected

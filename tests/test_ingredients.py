@@ -170,6 +170,11 @@ def test_mrs_gates():
         magic_rectangle_set(3, 4, 2)  # mixed parity
     with pytest.raises(NotConstructible):
         magic_rectangle_set(3, 3, 2)  # odd sides, even count
+    # long side first is refused as malformed, not as a nonexistence claim:
+    # MRS(3,5;1) exists and its transposed members would do
+    for abc in [(5, 3, 1), (5, 3, 3), (4, 2, 2), (5, 2, 1)]:
+        with pytest.raises(ValueError, match="short side first"):
+            magic_rectangle_set(*abc)
 
 
 def test_mrs_single_member_is_magic_square():

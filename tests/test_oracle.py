@@ -94,6 +94,20 @@ def test_non_int_sides_raise_value_error(shape):
         brute_enumerate(*shape)
 
 
+@pytest.mark.parametrize("call, kwargs", [
+    (brute_enumerate, {"witness_cap": 1.5}),
+    (brute_enumerate, {"witness_cap": True}),
+    (brute_enumerate, {"node_budget": 10.5}),
+    (brute_enumerate, {"node_budget": True}),
+    (exists_brute, {"node_budget": 10.5}),
+    (exists_brute, {"node_budget": True}),
+], ids=["enumerate-cap-float", "enumerate-cap-bool", "enumerate-budget-float",
+        "enumerate-budget-bool", "exists-budget-float", "exists-budget-bool"])
+def test_non_int_cap_and_budget_raise_value_error(call, kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        call(2, 4, 4, 2, **kwargs)
+
+
 def test_large_gate():
     with pytest.raises(ValueError):
         brute_enumerate(4, 4, 4, 4)
