@@ -221,7 +221,7 @@ def realize(m: int, n: int, r: int, s: int, *, cache=None, budget=None) -> Holey
     """Build a witness for an Exists verdict of decide(m, n, r, s).
 
     Raises NotConstructible when the verdict is NotExists or Unknown, and
-    passes SearchBudgetExceeded through when an ingredient search gives up.
+    passes SearchBudgetExceeded, inconclusive, through from the ingredients.
     """
     decision = existence.decide(m, n, r, s)
     if decision.verdict != "exists":

@@ -3,21 +3,22 @@ classical full magic rectangles and magic rectangle sets MRS(a,b;c).
 
 Resolution order is always the existence gate, then the catalog or a
 closed form, returned without touching the cache, then the cache, then
-deterministic backtracking search; only a searched result is stored when
-a cache is given.  Closed forms lift a small base through Kotzig arrays
-(kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3, and
-the full squares MS(m;m); odd coprime MR(a,b) with a short side of 3 or
-5 are signed magic arrays shifted up.  Every MRS(a,b;c) is c copies of
-MR(a,b) lifted through one more Kotzig array, so a set searches only
-when its base does.  Odd coprime rectangles with both sides at least 7,
-thin squares (s < m) and profiled squares the closed form misses are
-searched, and the cache holds only those: `ms` and `mr` entries of one
-grid each.  A diagonal profile is one run of the lowest values.  Search
-failure by exhaustion raises NotConstructible; running out of node budget
-raises SearchBudgetExceeded, which is inconclusive and never a
-nonexistence claim.  An IngredientCache appends under flock, so
-processes may share one; it remembers failures in memory, never in its
-file, and answers a repeat at the same or a smaller budget at once.
+deterministic backtracking search; only a searched square is stored
+when a cache is given.  Closed forms lift a small base through Kotzig
+arrays (kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3,
+and the full squares MS(m;m); odd coprime MR(a,b) with a short side of 3
+or 5 are signed magic arrays shifted up.  Every MRS(a,b;c) is c copies
+of MR(a,b) lifted through one more Kotzig array.  Odd coprime rectangles
+with both sides at least 7, and the sets over them, are never searched:
+they raise SearchBudgetExceeded with 0 nodes at once.  Thin squares
+(s < m) and profiled squares the closed form misses are searched, and
+the cache holds only those (`mr` entries of older versions still load).
+A diagonal profile is one run of the lowest values.  Search failure by
+exhaustion raises NotConstructible; running out of node budget raises
+SearchBudgetExceeded, which is inconclusive and never a nonexistence
+claim.  An IngredientCache appends under flock, so processes may share
+one; it remembers failures in memory, never in its file, and answers a
+repeat at the same or a smaller budget at once.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class DiagonalProfile:
 
     The one run (q, 0, hi) requires q cyclically consecutive support
     diagonals that jointly hold 0..hi, every diagonal holding a block of
-    (hi+1)/q consecutive values.  Empty, multi-run and lo > 0 profiles
-    raise ValueError.
+    (hi+1)/q consecutive values.  Empty, multi-run and lo > 0 profiles,
+    and run entries that are not ints (a bool is not), raise ValueError.
     """
 
     required_runs: Tuple[Tuple[int, int, int], ...]
@@ -94,7 +95,7 @@ class DiagonalProfile:
         if len(self.required_runs) != 1:
             raise ValueError(f"a profile is one run (q, 0, hi), got {self.required_runs}")
         ((q, lo, hi),) = self.required_runs
-        if q < 1 or lo != 0 or hi < lo:
+        if not all(map(existence.is_int, (q, lo, hi))) or q < 1 or lo != 0 or hi < lo:
             raise ValueError(f"bad profile run {(q, lo, hi)}")
         if (hi + 1) % q != 0:
             raise ValueError(f"run {(q, lo, hi)} does not split into {q} equal blocks")
@@ -328,43 +329,40 @@ class _Budget:
         self.label = label
 
 
-def _staircase(rows, cols, s):
-    """Cells (i, j) of a rows x cols grid, rows <= cols, with j - i >=
-    cols - s or 1 <= i - j <= s (all of them at s = cols, the diagonals
-    m-s..m-1 of a square), in the fill order that completes row 0, column
-    0, row 1, column 1, ... so both line constraints bind early."""
+def _staircase(m, s):
+    """Cells (i, j) of an m x m square with j - i >= m - s or 1 <= i - j <=
+    s, the diagonals m-s..m-1, in the fill order that completes row 0,
+    column 0, row 1, column 1, ... so both line constraints bind early."""
     cells = []
-    for t in range(rows):
-        cells += [(t, j) for j in range(t + cols - s, cols)]
-        cells += [(i, t) for i in range(t + 1, min(t + s + 1, rows))]
+    for t in range(m):
+        cells += [(t, j) for j in range(t + m - s, m)]
+        cells += [(i, t) for i in range(t + 1, min(t + s + 1, m))]
     return cells
 
 
-def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
+def _search_assignment(cell_domain, lines, domains, budget):
     """First exact assignment of distinct values to cells, or None.
 
     Cells are filled in index order.  cell_domain: domain index of each
     cell; lines: list of (target, cell indices in fill order), every cell
     on exactly two of them, its row and its column (ValueError otherwise);
     domains: list of ascending value tuples with exact counts (each domain
-    holds as many values as cells).  precedes: (earlier, later) cell pairs
-    whose values must increase, the earlier cell coming first in fill
-    order; used to break row/column permutation symmetry.
+    holds as many values as cells).
 
     Each domain keeps its unused values as one ascending free list: a
     placement pops the value at its position and backtracking re-inserts
-    it there.  A cell's candidates are the free values from just above its
-    precedence floor up to the smaller of its two line targets, tried in
-    ascending order.  A candidate can be placed when, on each line of the
-    cell, the gap it leaves lies between the sums of the k smallest and of
-    the k largest free values the line's k later cells can take.  Taking
-    the candidate out of its domain trades it for the next free value only
-    when it is among those k, so the candidates that pass form one window
-    of the free list: the kernel bisects to it on entering a cell, bounding
-    it by the first line `lines` lists the cell on and then the second,
-    and keeps it while it resumes the cell, whose state is then the same.
-    The search is an explicit-stack loop, so its depth is not limited by
-    the interpreter's recursion limit.
+    it there.  A cell's candidates are the free values up to the smaller of
+    its two line targets, tried in ascending order.  A candidate can be
+    placed when, on each line of the cell, the gap it leaves lies between
+    the sums of the k smallest and of the k largest free values the line's
+    k later cells can take.  Taking the candidate out of its domain trades
+    it for the next free value only when it is among those k, so the
+    candidates that pass form one window of the free list: the kernel
+    bisects to it on entering a cell, bounding it by the first line
+    `lines` lists the cell on and then the second, and keeps it while it
+    resumes the cell, whose state is then the same.  The search is an
+    explicit-stack loop, so its depth is not limited by the interpreter's
+    recursion limit.
 
     Charges one budget unit per attempted placement, as if every candidate
     were tried in turn: the candidates the window skips are charged in one
@@ -374,12 +372,10 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
     ncells = len(cell_domain)
     gap = [t for t, _ in lines]  # a line's target minus its placed values
     free = [list(d) for d in domains]
-    # per cell: its domain's free list, the cells it must exceed, then for
-    # each of its two lines the line, (domain, count) pairs of that line's
-    # later cells and how many of those cells share the cell's own domain
-    cells: List[list] = [[free[d], []] for d in cell_domain]
-    for earlier, later in precedes:
-        cells[later][1].append(earlier)
+    # per cell: its domain's free list, then for each of its two lines the
+    # line, (domain, count) pairs of that line's later cells and how many of
+    # those cells share the cell's own domain
+    cells: List[list] = [[free[d]] for d in cell_domain]
     for L, (_, seq) in enumerate(lines):
         counts: Dict[int, int] = {}
         for c in reversed(seq):
@@ -388,8 +384,8 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
             cells[c] += (L, tuple(counts.items()), k)
             counts[d] = k + 1
     for c, mine in enumerate(cells):
-        if len(mine) != 8:
-            raise ValueError(f"cell {c} is not on exactly two lines: {(len(mine) - 2) // 3}")
+        if len(mine) != 7:
+            raise ValueError(f"cell {c} is not on exactly two lines: {(len(mine) - 1) // 3}")
 
     assignment = [0] * ncells
     pos_of = [0] * ncells  # free-list position each placed value came from
@@ -398,9 +394,9 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
     left = budget.left
     idx, pos = 0, None  # pos None: cell idx is entered afresh, not resumed
     while idx < ncells:
-        f, prec, row, row_rest, row_k, col, col_rest, col_k = cells[idx]
+        f, row, row_rest, row_k, col, col_rest, col_k = cells[idx]
         if pos is None:
-            pos = at = bisect_right(f, max([assignment[p] for p in prec])) if prec else 0
+            pos = at = 0
             g, h = gap[row], gap[col]
             end[idx] = upto = bisect_right(f, g if g < h else h)
             last = len(f) - 1
@@ -459,7 +455,7 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
                 budget.left = left
                 return None
             idx -= 1
-            f, _, row, _, _, col, _, _ = cells[idx]
+            f, row, _, _, col, _, _ = cells[idx]
             v, pos = assignment[idx], pos_of[idx]
             gap[row] += v
             gap[col] += v
@@ -481,7 +477,7 @@ def _search_assignment(cell_domain, lines, domains, budget, precedes=()):
 def _square_problem(m, s):
     """Cells of the canonical support {m-s..m-1} in staircase order and
     the 2m lines, rows then columns, of an MS(m;s) search."""
-    cells = _staircase(m, m, s)
+    cells = _staircase(m, s)
     target = s * (m * s - 1) // 2
     lines = [(target, []) for _ in range(2 * m)]
     for idx, (i, j) in enumerate(cells):
@@ -579,55 +575,13 @@ def _search_square(m, s, profile, budget):
 # ---------------------------------------------------------------------------
 # classical full magic rectangles
 
-def _rect_problem(rows, cols):
-    """Cells, lines and symmetry-breaking precedence pairs for a full
-    rows x cols rectangle.
-
-    Near-square grids fill in staircase order (rows and columns bind
-    alternately); wide ones complete the short columns one at a time --
-    the crossover is empirical.  Rows and columns permute freely, so the
-    rectangle is pinned to the canonical form with its minimum in the
-    corner and first row/column ascending.
-    """
-    if rows == cols or (rows >= 4 and (cols <= 8 or cols - rows <= 2)):
-        cells = _staircase(rows, cols, cols)
-    else:
-        cells = [(i, j) for j in range(cols) for i in range(rows)]
-    index_of = {c: k for k, c in enumerate(cells)}
-    total = rows * cols
-    row2 = cols * (total - 1)
-    col2 = rows * (total - 1)
-    assert row2 % 2 == 0 and col2 % 2 == 0  # callers screen parity first
-    lines = [(row2 // 2, [index_of[(i, j)] for j in range(cols)]) for i in range(rows)]
-    lines += [(col2 // 2, [index_of[(i, j)] for i in range(rows)]) for j in range(cols)]
-    corner = index_of[(0, 0)]
-    precedes = [(corner, index_of[c]) for c in cells if c != (0, 0)]
-    precedes += [(index_of[(0, j)], index_of[(0, j + 1)]) for j in range(1, cols - 1)]
-    precedes += [(index_of[(i, 0)], index_of[(i + 1, 0)]) for i in range(1, rows - 1)]
-    return cells, lines, precedes
-
-
-def _search_rectangle(a: int, b: int, budget: int, label: str) -> HoleyGrid:
-    """Search a full a x b magic rectangle on 0..ab-1 in the short
-    orientation (transposed back when a > b)."""
-    rows, cols = min(a, b), max(a, b)
-    cells, lines, precedes = _rect_problem(rows, cols)
-    got = _search_assignment([0] * len(cells), lines, [tuple(range(rows * cols))],
-                             _Budget(budget, label), precedes)
-    if got is None:
-        raise NotConstructible(f"search exhausted without finding {label}")
-    grid = [[None] * cols for _ in range(rows)]
-    for (i, j), v in zip(cells, got):
-        grid[i][j] = v
-    return HoleyGrid.from_rows(zip(*grid) if a > b else grid)
-
-
 def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
     """Full a x b magic rectangle on 0..ab-1.
 
-    Raises NotConstructible unless existence.mr_exists(a, b).  Resolution:
-    the closed form, then cache and search (odd coprime sides that are both
-    at least 7 only).
+    Raises NotConstructible unless existence.mr_exists(a, b), and at once
+    SearchBudgetExceeded with 0 nodes (inconclusive) for odd coprime sides
+    both at least 7, which have no closed form here; nothing is searched,
+    so `cache` and `budget` are unused.
     """
     existence.require_positive_ints("a and b", a, b)
     if not existence.mr_exists(a, b):
@@ -636,9 +590,7 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
         )
     result = _closed_rectangle(a, b)
     if result is None:
-        label = f"MR({a},{b})"
-        result = _searched("mr", (a, b), None, cache, budget, label,
-                           lambda: _search_rectangle(a, b, budget, label))
+        raise SearchBudgetExceeded(f"MR({a},{b})", 0)
     return result
 
 
@@ -666,7 +618,8 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     Raises ValueError when a > b and NotConstructible unless
     existence.mrs_exists(a, b, c).  The set is c copies of
     classical_rectangle(a, b) lifted through a Kotzig array (kotzig.lift),
-    so only an odd coprime base searches.  Even sides use
+    so an odd coprime base with both sides at least 7 raises its
+    SearchBudgetExceeded with 0 nodes, and nothing searches.  Even sides use
     kotzig(2, c) with checkerboard classes.  Odd sides use the rows of
     base_triple(c), their complements c-1-T, the identity and the reversal,
     classed by _odd_set_class: the first three cells of every line of the
@@ -693,9 +646,9 @@ def _searched(kind, params, profile, cache, budget, label, search) -> HoleyGrid:
     (an IngredientCache or a path, or None for no cache) holds the key,
     else search(), stored in the cache.  The only code that touches the
     cache; catalog and closed-form ingredients never reach it.  A miss
-    whose search (MR(a,b) and MR(b,a) run one) the same IngredientCache
-    ran dry at this budget or a larger one raises at once, as the search
-    would: a budget only cuts one deterministic walk short."""
+    whose search the same IngredientCache ran dry at this budget or a
+    larger one raises at once, as the search would: a budget only cuts one
+    deterministic walk short."""
     if cache is None:
         return search()
     if not isinstance(cache, IngredientCache):
@@ -703,7 +656,7 @@ def _searched(kind, params, profile, cache, budget, label, search) -> HoleyGrid:
     grid = cache.load(kind, params, profile)
     if grid is not None:
         return grid
-    key = _cache_key(kind, sorted(params) if kind == "mr" else params, profile)
+    key = _cache_key(kind, params, profile)
     if cache._dry.get(key, -1) >= budget:
         raise SearchBudgetExceeded(label, int(budget) + 1)
     try:

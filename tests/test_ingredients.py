@@ -28,7 +28,6 @@ from holeymagic import (
 from holeymagic import existence, ingredients
 from holeymagic.construct import block_set
 from holeymagic.ingredients import (
-    _search_rectangle,
     _search_square,
     classical_rectangle,
     magic_rectangle_set,
@@ -117,6 +116,14 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         DiagonalProfile(((1, 12, 17),))  # not the lowest values
     assert DiagonalProfile(((2, 0, 11),)).tag() == "2:0:11"
+
+
+@pytest.mark.parametrize("run", [(1.5, 0, 2), (2, 0, True), (True, 0, 3), (1, 0, 3.0)])
+def test_profile_runs_are_ints(run):
+    # a float or bool entry is refused, not read as a profile that no
+    # square meets, nor cached under a tag of its own ("True:0:3")
+    with pytest.raises(ValueError, match="bad profile run"):
+        DiagonalProfile((run,))
 
 
 def test_profile_satisfied_reads_content():
@@ -239,7 +246,7 @@ def test_closed_form_rectangles_with_three_or_five_rows(monkeypatch):
                 built += 1
     assert calls == []
     assert built == 218  # 50 pairs with 3 rows and 59 with 5, both orientations
-    # a short side of 7 or more is still searched
+    # a short side of 7 or more has no closed form
     for a, b in [(7, 9), (9, 7), (7, 151), (11, 13)]:
         assert ingredients._closed_rectangle(a, b) is None
 
@@ -360,9 +367,8 @@ def test_cache_rejects_malformed_file(tmp_path):
 
 
 def test_cached_mrs_roundtrip(tmp_path, monkeypatch):
-    # a set lifts its base rectangle, so the cache sees only the base's key;
-    # no odd rectangle with a short side of 7 or more is found at test
-    # budgets, so the base runs dry and nothing is stored
+    # a set lifts its base rectangle; an odd coprime base with both sides
+    # at least 7 is refused before the cache or the kernel is reached
     calls = _counting_kernel(monkeypatch)
     path = tmp_path / "ing.mrx"
     cache = IngredientCache(path)
@@ -371,9 +377,8 @@ def test_cached_mrs_roundtrip(tmp_path, monkeypatch):
                   lambda: classical_rectangle(9, 7, cache=cache, budget=1_000)):
         with pytest.raises(SearchBudgetExceeded) as info:
             fetch()
-        assert info.value.nodes == 1_001
-    # one search for the base serves every set over it, in either orientation
-    assert len(calls) == 1
+        assert info.value.nodes == 0
+    assert calls == []
     assert not path.exists()
 
 
@@ -496,14 +501,13 @@ def test_only_searched_ingredients_touch_the_cache(tmp_path, monkeypatch):
     keys = [("ms", (7, 4)), ("ms", (7, 3))]
     first = [fetch() for fetch in searched]
     assert calls == [(op, *key) for key in keys for op in ("load", "store")]
-    # a set touches only its base rectangle's entry, and a search that runs
-    # dry stores nothing
+    # a rectangle or set with no construction is refused without the cache
     del calls[:]
-    for dry in (lambda: classical_rectangle(9, 7, cache=cache, budget=1_000),
-                lambda: magic_rectangle_set(7, 9, 3, cache=cache, budget=1_000)):
+    for refused in (lambda: classical_rectangle(9, 7, cache=cache, budget=1_000),
+                    lambda: magic_rectangle_set(7, 9, 3, cache=cache, budget=1_000)):
         with pytest.raises(SearchBudgetExceeded):
-            dry()
-    assert calls == [("load", "mr", (9, 7)), ("load", "mr", (7, 9))]
+            refused()
+    assert calls == []
     # a hit neither searches nor stores
     del calls[:]
     monkeypatch.setattr(ingredients, "_search_assignment", None)
@@ -734,6 +738,12 @@ def test_a_square_search_runs_dry_once_per_cache(tmp_path, monkeypatch):
     # a profiled square is another search
     assert kernel_calls_until_dry(10, DiagonalProfile(((1, 0, 6),))) > 0
     assert not path.exists()  # failures are never written
+    # memory is per instance: a new one on the same path, or the path, searches
+    for other in (IngredientCache(path), str(path)):
+        del calls[:]
+        with pytest.raises(SearchBudgetExceeded):
+            magic_square_holes(7, 4, cache=other, budget=1_000)
+        assert calls
     del calls[:]
     assert serialize(magic_square_holes(7, 4, cache=cache, budget=35_815)) == SEARCHED_MS_7_4
     assert calls
@@ -741,26 +751,30 @@ def test_a_square_search_runs_dry_once_per_cache(tmp_path, monkeypatch):
             if line.startswith("KEY ")] == ["KEY ms 7 4 -"]
 
 
-def test_a_rectangle_search_runs_dry_once_in_either_orientation(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fetch", [
+    lambda cache: classical_rectangle(7, 9, cache=cache),
+    lambda cache: classical_rectangle(9, 7, cache=cache),
+    lambda cache: magic_rectangle_set(7, 9, 3, cache=cache),
+    lambda cache: realize(7, 9, 9, 7, cache=cache),
+], ids=["mr_7_9", "mr_9_7", "mrs_7_9_3", "realize_7_9_9_7"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_odd_coprime_rectangles_are_refused_unsearched(tmp_path, monkeypatch, fetch, cached):
+    # both sides odd, coprime and at least 7: no closed form, and no
+    # search at the default budget; the refusal is inconclusive and
+    # touches neither the kernel nor the cache
     calls = _counting_kernel(monkeypatch)
+    for name in ("load", "store"):
+        monkeypatch.setattr(IngredientCache, name, lambda *args, op=name: calls.append(op))
     path = tmp_path / "ing.mrx"
-    cache = IngredientCache(path)
-    for a, b, searched in [(7, 9, 1), (9, 7, 1)]:
-        with pytest.raises(SearchBudgetExceeded) as info:
-            classical_rectangle(a, b, cache=cache, budget=1_000)
-        assert (info.value.ingredient, info.value.nodes) == (f"MR({a},{b})", 1_001)
-        assert len(calls) == searched
-    # memory is per instance: a new one on the same path, or the path, searches
-    for other in (IngredientCache(path), str(path)):
-        with pytest.raises(SearchBudgetExceeded):
-            classical_rectangle(9, 7, cache=other, budget=1_000)
-    assert len(calls) == 3
-    # a larger budget searches again, and its failure is remembered in turn
-    for a, b, searched in [(9, 7, 4), (7, 9, 4)]:
-        with pytest.raises(SearchBudgetExceeded) as info:
-            classical_rectangle(a, b, cache=cache, budget=5_000)
-        assert (info.value.ingredient, info.value.nodes) == (f"MR({a},{b})", 5_001)
-        assert len(calls) == searched
+    with pytest.raises(SearchBudgetExceeded) as info:
+        fetch(IngredientCache(path) if cached else None)
+    assert info.value.nodes == 0
+    label = info.value.ingredient
+    assert label in ("MR(7,9)", "MR(9,7)")
+    assert str(info.value) == (f"{label}: no construction for odd coprime sides "
+                               "both >= 7; nothing was searched")
+    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+    assert calls == []
     assert not path.exists()
 
 
@@ -797,14 +811,6 @@ def test_remembered_failures_leave_realize_unchanged(tmp_path, monkeypatch, budg
 # Outputs of the backtracking search on pinned problems, frozen before the
 # kernel was rewritten for speed.  Any kernel must reproduce them byte for
 # byte and spend exactly the pinned node counts.
-SEARCHED_MR_4_6 = """\
-4 6
-0 1 2 21 22 23
-7 10 15 11 12 14
-19 17 13 6 9 5
-20 18 16 8 3 4
-"""
-
 SEARCHED_MS_8_4_PROFILE = """\
 8 8
 . . . . 0 8 23 31
@@ -815,13 +821,6 @@ SEARCHED_MS_8_4_PROFILE = """\
 . 4 12 24 22 . . .
 . . 3 18 15 26 . .
 . . . 6 25 21 10 .
-"""
-
-SEARCHED_MR_3_11 = """\
-3 11
-0 1 2 3 19 20 23 25 26 28 29
-16 17 15 18 24 22 21 9 10 13 11
-32 30 31 27 5 6 4 14 12 7 8
 """
 
 SEARCHED_MS_7_4 = """\
@@ -839,22 +838,15 @@ SEARCHED_MS_7_4 = """\
 PINNED_SEARCHES = [
     # (search at a node budget, least budget that succeeds, frozen output,
     # ingredient named when the budget runs out)
-    # MR(4,6) has a closed form, so its pin calls the rectangle search that
-    # odd coprime sides still use
-    (lambda budget: [_search_rectangle(4, 6, budget, "MR(4,6)")], 7_836, SEARCHED_MR_4_6,
-     "MR(4,6)"),
     (lambda budget: [magic_square_holes(8, 4, DiagonalProfile(((1, 0, 7),)), budget=budget)],
      213_750, SEARCHED_MS_8_4_PROFILE, "MS(8;4) profile 1:0:7"),
-    # wide rows, where the kernel skips most candidates in one step
-    (lambda budget: [_search_rectangle(3, 11, budget, "MR(3,11)")], 162_588,
-     SEARCHED_MR_3_11, "MR(3,11)"),
     # layered search: three stages share one budget
     (lambda budget: [_search_square(7, 4, None, budget)], 35_815, SEARCHED_MS_7_4, "MS(7;4)"),
 ]
 
 
 @pytest.mark.parametrize("search, nodes, frozen, ingredient", PINNED_SEARCHES,
-                         ids=["mr_4_6", "ms_8_4_profile", "mr_3_11", "ms_7_4"])
+                         ids=["ms_8_4_profile", "ms_7_4"])
 def test_pinned_node_counts_and_outputs(search, nodes, frozen, ingredient):
     assert "".join(serialize(g) for g in search(nodes)) == frozen
     with pytest.raises(SearchBudgetExceeded) as info:
@@ -866,12 +858,29 @@ def test_pinned_node_counts_and_outputs(search, nodes, frozen, ingredient):
     assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
 
+def _full_rectangle(rows, cols, budget):
+    """[grid] of a full rows x cols magic rectangle on 0..rows*cols-1 that
+    the kernel finds filling it column by column, or [] when the space is
+    exhausted.  The library never searches a rectangle; this is a kernel
+    input with one value range and long lines."""
+    n = rows * cols
+    lines = [(cols * (n - 1) // 2, list(range(i, n, rows))) for i in range(rows)]
+    lines += [(rows * (n - 1) // 2, list(range(j * rows, (j + 1) * rows))) for j in range(cols)]
+    got = ingredients._search_assignment([0] * n, lines, [tuple(range(n))],
+                                         ingredients._Budget(budget, f"MR({rows},{cols})"))
+    if got is None:
+        return []
+    return [HoleyGrid.from_rows(zip(*(got[j * rows:(j + 1) * rows] for j in range(cols))))]
+
+
 def test_deep_search_does_not_recurse():
-    # the search first passes depth 1000 (of 1400 cells) after about 355k
-    # nodes and succeeds after 375 103; a recursive kernel dies on the way
+    # the search fills all 1400 cells, past the default recursion limit,
+    # after exactly 497 356 nodes; a recursive kernel dies on the way
     limit = sys.getrecursionlimit()
-    grid = _search_rectangle(2, 700, 400_000, "MR(2,700)")
+    (grid,) = _full_rectangle(2, 700, 497_356)
     assert verify(grid, MagicSpec(2, 700, 700, 2)).ok
+    with pytest.raises(SearchBudgetExceeded):
+        _full_rectangle(2, 700, 497_355)
     assert sys.getrecursionlimit() == limit
 
 
@@ -890,13 +899,13 @@ def _differential_searches():
     for a in range(1, 8):
         for b in range(1, 20):
             if existence.mr_exists(a, b):
-                yield f"mr_{a}_{b}", lambda n, a=a, b=b: [_search_rectangle(a, b, n, "MR")], 20_000
+                yield f"mr_{a}_{b}", lambda n, a=a, b=b: _full_rectangle(a, b, n), 20_000
     # the benchmark sweep's hot path at its 2 500-node budget: thin squares
-    # at its sizes and odd coprime rectangles that still search
+    # at its sizes, and two odd coprime rectangles as deep kernel inputs
     for m, s in [(41, 3), (25, 5), (40, 6), (33, 8)]:
         yield f"sweep_ms_{m}_{s}", lambda b, m=m, s=s: [_search_square(m, s, None, b)], 2_500
     for a, b in [(7, 9), (9, 11)]:
-        yield f"sweep_mr_{a}_{b}", lambda n, a=a, b=b: [_search_rectangle(a, b, n, "MR")], 2_500
+        yield f"sweep_mr_{a}_{b}", lambda n, a=a, b=b: _full_rectangle(a, b, n), 2_500
 
 
 DIFFERENTIAL_SEARCHES = list(_differential_searches())
@@ -909,9 +918,9 @@ def _outcomes(kernel, search, budgets, monkeypatch):
     left after each kernel call the search made."""
     left = []
 
-    def traced(cell_domain, lines, domains, budget, precedes=()):
+    def traced(cell_domain, lines, domains, budget):
         try:
-            return kernel(cell_domain, lines, domains, budget, precedes)
+            return kernel(cell_domain, lines, domains, budget)
         finally:
             left.append(budget.left)
 
