@@ -111,6 +111,7 @@ REASONS = (
     "ColSumNonIntegral",
     "TwoTwoSquare",
     "ClassicalParity",
+    "SingletonLine",
 )
 
 
@@ -177,6 +178,10 @@ def necessary_conditions(m: int, n: int, r: int, s: int) -> List[str]:
             out.append("ColSumNonIntegral")
     if m == n and r == 2 and s == 2:
         out.append("TwoTwoSquare")
+    if (r == 1 or s == 1) and total > 1:
+        # each line holding one value must equal the common line constant,
+        # but the mr > 1 values all differ
+        out.append("SingletonLine")
     return out
 
 

@@ -5,22 +5,26 @@ sweep, row-major, trying Empty before values and values in ascending
 order, so counts and witness order are reproducible.
 
 The sweep is an explicit-stack loop, so a walk thousands of cells deep
-needs no recursion limit.  The unused values sit in one ascending free
-list: a placement pops its value and backtracking re-inserts it at the
-same position.  A value fits a cell when, on its row and on its column,
-what the line still needs minus the value lies between the sums of the k
-smallest and of the k largest other free values, k being the line's cells
-still to fill after this one.  Leaving the value out changes those sums
-only when it is among the k, by trading it for the next smallest (largest)
-free value, so the values that fit form one window of the free list: on
-entering a cell's values the sweep finds it by bisection, and keeps it
-while it resumes the cell, whose state is then the same.
+needs no recursion limit, and each of its steps makes one decision.  The
+unused values sit in one ascending free list: a placement pops its value,
+and backtracking re-inserts it at the same position or, when the cell
+resumes, swaps it for the value after it.  A value fits a cell
+when, on its row and on its column, what the line still needs minus the
+value lies between the sums of the k smallest and of the k largest other
+free values, k being the line's cells still to fill after this one.
+Leaving the value out changes those sums only when it is among the k, by
+trading it for the next smallest (largest) free value, so the values that
+fit form one window of the free list: on entering a cell's values the sweep
+finds it by bisection.  Backtracking undoes cells until one takes a new
+choice.  A cell holding a value resumes in that same step with the next
+position of its window, which the undo leaves as it was; an Empty cell
+starts its values afresh.
 
 A node is one allowed Empty attempt or one free value examined, counting
 the first value too large for its line, which ends that cell's values; a
-run stops on node budget + 1.  Values the window skips are charged in one
-step, as if each were examined in turn, so node counts are those of a
-value-by-value walk.
+run stops on node budget + 1.  Values the window skips, before it or after
+it once it is used up, are charged in one step, as if each were examined in
+turn, so node counts are those of a value-by-value walk.
 """
 
 from __future__ import annotations
@@ -91,129 +95,145 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
         return EnumerationResult(0, (), True)
 
     cells = m * n
-    grid = [[None] * n for _ in range(m)]
+    # per cell: its row and column, and the cells after it in each
+    cell_at = [(idx // n, idx % n, n - 1 - idx % n, m - 1 - idx // n)
+               for idx in range(cells)]
     row_left = [r] * m  # values each line still needs
     col_left = [s] * n
-    row_of = [idx // n for idx in range(cells)]
-    col_of = [idx % n for idx in range(cells)]
-    row_room = [n - 1 - j for j in col_of]  # cells after this one in its line
-    col_room = [m - 1 - i for i in row_of]
     row_need = [row2 // 2] * m  # the line's constant minus its placed values
     col_need = [col2 // 2] * n
     free = list(range(total))  # unused values, ascending
+    placed = [0] * cells  # the cell's value, when it holds one
     taken = [0] * cells  # free-list position of the cell's value, -1 if Empty
     upto = [0] * cells  # end of the cell's window of fitting positions
     nofit = [0] * cells  # nodes its values cost from position 0 when none fits
     witnesses = []
     count = 0
     left = node_budget
-    idx, start = 0, -1  # start -1: try Empty first; else the first free position
+    idx, fresh = 0, True  # fresh: the cell tries Empty before its values
     while True:
         if idx == cells:
             count += 1
             if len(witnesses) < witness_cap:
-                witnesses.append(HoleyGrid.from_rows([row[:] for row in grid]))
+                witnesses.append(HoleyGrid.from_rows(
+                    [placed[k] if taken[k] >= 0 else None for k in range(a, a + n)]
+                    for a in range(0, cells, n)))
             if stop_at is not None and count >= stop_at:
                 return EnumerationResult(count, tuple(witnesses), False)
         else:
-            i = row_of[idx]
-            j = col_of[idx]
+            i, j, row_room, col_room = cell_at[idx]
             rfl = row_left[i] - 1  # cells the line still needs after this one
             cfl = col_left[j] - 1
-            if start < 0:
-                start = 0
-                if row_room[idx] > rfl and col_room[idx] > cfl:
-                    left -= 1
-                    if left < 0:
-                        return EnumerationResult(count, tuple(witnesses), False)
-                    taken[idx] = -1
-                    idx, start = idx + 1, -1
-                    continue
+            if fresh and row_room > rfl and col_room > cfl:
+                if not left:
+                    return EnumerationResult(count, tuple(witnesses), False)
+                left -= 1
+                taken[idx] = -1
+                idx += 1
+                continue
             if rfl >= 0 and cfl >= 0:
-                if start:
-                    # resumed after its last value: the window still holds
-                    at, end = start, upto[idx]
+                rneed = row_need[i]
+                cneed = col_need[j]
+                nfree = len(free)
+                stop = bisect_right(free, rneed if rneed < cneed else cneed)
+                # Position p fits a line with k cells after this one iff
+                # free[max(p, k)] <= most and free[min(p, nfree - 1 - k)]
+                # >= least, most and least being the line's need less the
+                # k smallest and the k largest free values: leaving out
+                # one of those k trades it for free[k] (free[nfree-1-k]).
+                # So the fitting positions form one window [at, end).
+                if rfl == 0:
+                    # the row's last cell takes exactly what it needs
+                    at = bisect_left(free, rneed, 0, stop)
+                    end = at + 1 if at < stop and free[at] == rneed else at
                 else:
-                    rneed = row_need[i]
-                    cneed = col_need[j]
-                    nfree = len(free)
-                    stop = bisect_right(free, rneed if rneed < cneed else cneed)
-                    # the values up to stop are examined, plus the first value
-                    # too large for the row or column
-                    nofit[idx] = stop + (stop < nfree)
-                    # Position p fits a line with k cells after this one iff
-                    # free[max(p, k)] <= most and free[min(p, nfree - 1 - k)]
-                    # >= least, most and least being the line's need less the
-                    # k smallest and the k largest free values: leaving out
-                    # one of those k trades it for free[k] (free[nfree-1-k]).
-                    # So the fitting positions form one window [at, end).
-                    if rfl == 0:
-                        # the row's last cell takes exactly what it needs
-                        at = bisect_left(free, rneed, 0, stop)
-                        end = at + 1 if at < stop and free[at] == rneed else at
+                    if rfl == 1:
+                        most = rneed - free[0]
+                        least = rneed - free[-1]
                     else:
-                        if rfl == 1:
-                            most = rneed - free[0]
-                            least = rneed - free[-1]
-                        else:
-                            most = rneed - sum(free[:rfl])
-                            least = rneed - sum(free[nfree - rfl:])
-                        # Rows fill one at a time, so free[rfl] <= most and
-                        # free[nfree - 1 - rfl] >= least hold unchecked: the
-                        # row's previous value was placed only if they held for
-                        # the values it left, and before the row's first value
-                        # the free values average its constant over r cells.
-                        at = bisect_left(free, least, 0, stop)
-                        end = bisect_right(free, most, at, stop)
-                    if at < end:
-                        if cfl == 0:
-                            at = bisect_left(free, cneed, at, end)
-                            end = at + 1 if at < end and free[at] == cneed else at
-                        else:
-                            if cfl == 1:
-                                most = cneed - free[0]
-                                least = cneed - free[-1]
-                            else:
-                                most = cneed - sum(free[:cfl])
-                                least = cneed - sum(free[nfree - cfl:])
-                            if free[cfl] > most or free[nfree - 1 - cfl] < least:
-                                end = at
-                            else:
-                                at = bisect_left(free, least, at, end)
-                                end = bisect_right(free, most, at, end)
-                    upto[idx] = end
+                        most = rneed - sum(free[:rfl])
+                        least = rneed - sum(free[nfree - rfl:])
+                    # Rows fill one at a time, so free[rfl] <= most and
+                    # free[nfree - 1 - rfl] >= least hold unchecked: the
+                    # row's previous value was placed only if they held for
+                    # the values it left, and before the row's first value
+                    # the free values average its constant over r cells.
+                    at = bisect_left(free, least, 0, stop)
+                    end = bisect_right(free, most, at, stop)
                 if at < end:
-                    cost = at - start + 1
-                else:
-                    cost = nofit[idx] - start
+                    if cfl == 0:
+                        at = bisect_left(free, cneed, at, end)
+                        end = at + 1 if at < end and free[at] == cneed else at
+                    else:
+                        if cfl == 1:
+                            most = cneed - free[0]
+                            least = cneed - free[-1]
+                        else:
+                            most = cneed - sum(free[:cfl])
+                            least = cneed - sum(free[nfree - cfl:])
+                        if free[cfl] > most or free[nfree - 1 - cfl] < least:
+                            end = at
+                        else:
+                            at = bisect_left(free, least, at, end)
+                            end = bisect_right(free, most, at, end)
+                # the values up to stop are examined, plus the first value
+                # too large for the row or column
+                cost = stop + (stop < nfree)
+                if at < end:
+                    # the values before at are examined and skipped
+                    if at >= left:
+                        return EnumerationResult(count, tuple(witnesses), False)
+                    left -= at + 1
+                    upto[idx] = end
+                    nofit[idx] = cost
+                    v = free.pop(at)
+                    placed[idx] = v
+                    row_left[i] = rfl
+                    col_left[j] = cfl
+                    row_need[i] = rneed - v
+                    col_need[j] = cneed - v
+                    taken[idx] = at
+                    idx += 1
+                    fresh = True
+                    continue
                 if cost > left:
                     return EnumerationResult(count, tuple(witnesses), False)
                 left -= cost
-                if at < end:
-                    v = free.pop(at)
-                    grid[i][j] = v
-                    row_left[i] = rfl
-                    col_left[j] = cfl
-                    row_need[i] -= v
-                    col_need[j] -= v
-                    taken[idx] = at
-                    idx, start = idx + 1, -1
-                    continue
-        # backtrack: undo the previous cell and resume it after its choice
-        if idx == 0:
-            return EnumerationResult(count, tuple(witnesses), True)
-        idx -= 1
-        pos = taken[idx]
-        if pos < 0:
-            start = 0
-            continue
-        i = row_of[idx]
-        j = col_of[idx]
-        v = grid[i][j]
-        grid[i][j] = None
-        free.insert(pos, v)
-        row_left[i] += 1
-        col_left[j] += 1
-        row_need[i] += v
-        col_need[j] += v
-        start = pos + 1
+        # Backtrack: undo cells until one takes a new choice.  A cell holding
+        # a value resumes in place with the next position of its window,
+        # which the undo leaves as it was; an Empty cell starts its values.
+        while True:
+            if idx == 0:
+                return EnumerationResult(count, tuple(witnesses), True)
+            idx -= 1
+            pos = taken[idx]
+            if pos < 0:
+                fresh = False
+                break
+            i, j, row_room, col_room = cell_at[idx]
+            v = placed[idx]
+            if pos + 1 < upto[idx]:
+                if not left:
+                    return EnumerationResult(count, tuple(witnesses), False)
+                left -= 1
+                # the next position holds the value after v, which the
+                # removal of v moved to pos: swap the two
+                w = free[pos]
+                free[pos] = v
+                row_need[i] += v - w
+                col_need[j] += v - w
+                placed[idx] = w
+                taken[idx] = pos + 1
+                idx += 1
+                fresh = True
+                break
+            # the window is used up: charge the rest of the cell's values
+            cost = nofit[idx] - pos - 1
+            if cost > left:
+                return EnumerationResult(count, tuple(witnesses), False)
+            left -= cost
+            free.insert(pos, v)
+            row_left[i] += 1
+            col_left[j] += 1
+            row_need[i] += v
+            col_need[j] += v

@@ -5,6 +5,9 @@ import pytest
 
 from holeymagic import Decision, decide, necessary_conditions, realize, two_per_column
 from holeymagic.existence import REASONS
+from holeymagic.oracle import exists_brute
+
+import support
 
 
 def test_decision_field_coupling():
@@ -75,6 +78,14 @@ def test_decide_routes():
     assert decide(4, 8, 4, 2).route == "TwoPerColumn"
 
 
+def test_singleton_line_verdicts_agree_with_the_oracle():
+    shapes = [x for x in support.all_well_shaped(20)
+              if decide(*x).reason == "SingletonLine"]
+    assert len(shapes) == 15
+    for shape in shapes:
+        assert exists_brute(*shape, allow_large=True) == "no", shape
+
+
 def test_decide_shape_violations():
     assert decide(3, 4, 2, 2).reason == "ShapeInfeasible"
     assert decide(4, 6, 3, 2).reason == "RowSumNonIntegral"
@@ -86,6 +97,7 @@ REASON_EXAMPLES = {
     "ColSumNonIntegral": (6, 4, 2, 3),
     "TwoTwoSquare": (3, 3, 2, 2),
     "ClassicalParity": (2, 5, 5, 2),
+    "SingletonLine": (3, 3, 1, 1),
 }
 
 
@@ -102,8 +114,10 @@ def test_decide_is_pure():
 
 # sha256 of one "m n r s verdict route reason tags" line per shape, over
 # every (m,n,r,s) in 1..20, frozen before decide became table-driven: any
-# moved verdict, route or reason changes it.
-DIGEST_1_20 = "495dd36d9b1ac5c3582fd8dcff105de0357a302e331d9e8f18705c312c1ee96c"
+# moved verdict, route or reason changes it.  Re-frozen when SingletonLine
+# came in: 15 lines went from unknown to SingletonLine and 96 only gained
+# the tag at their end.
+DIGEST_1_20 = "debd4fb9a4309ada8e2c04979ad099d002ab9982e031f2c69f1fa960b8ec3894"
 
 
 def test_verdicts_pinned():
@@ -120,8 +134,10 @@ def test_verdicts_pinned():
 
 # The same line format over every (m,n,r,s) with m*r = n*s <= 250, r <= n
 # and s <= m (6 284 shapes, sides up to 250), frozen before decide and
-# necessary_conditions took their exact-int shortcut.
-DIGEST_MR_250 = "08c5c4402bbe7a31c518a042f1360802c9843f58c730df73d79b8a942a5a6abd"
+# necessary_conditions took their exact-int shortcut.  Re-frozen when
+# SingletonLine came in: 510 lines went from unknown to SingletonLine and
+# 2 081 only gained the tag at their end.
+DIGEST_MR_250 = "7a15edeebde0e612cf7d30bb17534ddc3da97146c79098c6fef87d18eaf9592a"
 
 
 def test_verdicts_pinned_up_to_mr_250():

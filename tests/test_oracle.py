@@ -244,6 +244,22 @@ def test_windowed_sweep_matches_reference():
         assert outcome(got) == outcome(want), (shape, budget, stop_at)
 
 
+def test_in_place_resumes_match_reference():
+    """Backtracking resumes a cell in the step that undoes it, and an Empty
+    cell met while undoing starts its values: on these holey shapes both
+    happen at every kind of stopping point, so every budget is compared."""
+    def outcome(res):
+        return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
+
+    runs = [(shape, budget, None) for shape in [(3, 6, 4, 2), (5, 5, 3, 3)]
+            for budget in range(1, 1001)]
+    runs += [(shape, 20_000, 3) for shape in _workload_shapes()]
+    for shape, budget, stop_at in runs:
+        got = _run(*shape, 2, budget, stop_at)
+        want = support.reference_enumerate(*shape, 2, budget, stop_at)
+        assert outcome(got) == outcome(want), (shape, budget, stop_at)
+
+
 def test_deep_walk_does_not_recurse():
     # Row 0 opens with 1204 Empty cells, so the walk passes 1205 cells deep,
     # beyond the interpreter's default recursion limit of 1000.
