@@ -5,26 +5,39 @@ sweep, row-major, trying Empty before values and values in ascending
 order, so counts and witness order are reproducible.
 
 The sweep is an explicit-stack loop, so a walk thousands of cells deep
-needs no recursion limit, and each of its steps makes one decision.  The
-unused values sit in one ascending free list: a placement pops its value,
-and backtracking re-inserts it at the same position or, when the cell
-resumes, swaps it for the value after it.  A value fits a cell
-when, on its row and on its column, what the line still needs minus the
-value lies between the sums of the k smallest and of the k largest other
-free values, k being the line's cells still to fill after this one.
-Leaving the value out changes those sums only when it is among the k, by
-trading it for the next smallest (largest) free value, so the values that
-fit form one window of the free list: on entering a cell's values the sweep
-finds it by bisection.  Backtracking undoes cells until one takes a new
-choice.  A cell holding a value resumes in that same step with the next
-position of its window, which the undo leaves as it was; an Empty cell
-starts its values afresh.
+needs no recursion limit; each of its steps makes one decision or settles
+one recorded subtree (below).  The unused values sit in one ascending free
+list: a placement pops its value, and backtracking re-inserts it at the
+same position or, when the cell resumes, swaps it for the value after it.
+A value fits a cell when, on its row and on its column, what the line still
+needs minus the value lies between the sums of the k smallest and of the k
+largest other free values, k being the line's cells still to fill after
+this one.  Leaving the value out changes those sums only when it is among
+the k, by trading it for the next smallest (largest) free value, so the
+values that fit form one window of the free list: on entering a cell's
+values the sweep finds it by bisection.  Backtracking undoes cells until
+one takes a new choice.  A cell holding a value resumes in that same step
+with the next position of its window, which the undo leaves as it was; an
+Empty cell starts its values afresh.
 
 A node is one allowed Empty attempt or one free value examined, counting
 the first value too large for its line, which ends that cell's values; a
 run stops on node budget + 1.  Values the window skips, before it or after
 it once it is used up, are charged in one step, as if each were examined in
 turn, so node counts are those of a value-by-value walk.
+
+At the first cell of a row, the rows at and below it are untouched, so
+the free values and each column's need and count of cells still to fill
+decide the walk below, down to every node.  Rows above can be permuted, or
+swap values within columns, and reach that state again; the states after
+row 0 alone are all distinct, so only rows 2 and below (counted from 0)
+are keyed.  A table keyed by that state records the nodes and grids of
+each finished subtree.  When the state recurs, the subtree is charged in
+one step if its nodes fit what is left and it counted no grid, or no
+further witness is kept and the run does not stop at a count.  A walk
+stops only on a charge that exceeds what is left, so a subtree that fits
+would be walked whole: node semantics are unchanged.  The table is cleared
+when it holds _TABLE_CAP entries, which bounds its memory.
 """
 
 from __future__ import annotations
@@ -41,6 +54,10 @@ DEFAULT_NODE_BUDGET = 10 ** 9
 # Full enumeration is factorial; beyond this many values the caller must
 # opt in explicitly.
 LARGE_VALUE_COUNT = 14
+
+# Entries the row-start table holds before it is cleared: it grows with the
+# node budget, and the default budget is 10**9 nodes.
+_TABLE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,10 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
     # per cell: its row and column, and the cells after it in each
     cell_at = [(idx // n, idx % n, n - 1 - idx % n, m - 1 - idx // n)
                for idx in range(cells)]
+    # The first cells of rows 2 and below key a table of finished subtrees.
+    keyed = [i > 1 and not j for i, j, _, _ in cell_at] + [False]
+    table = {}  # row-start state -> [nodes, grids] of the subtree below it
+    opened = [None] * cells  # per keyed cell: (its entry, left, count) on entry
     row_left = [r] * m  # values each line still needs
     col_left = [s] * n
     row_need = [row2 // 2] * m  # the line's constant minus its placed values
@@ -124,6 +145,22 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
             i, j, row_room, col_room = cell_at[idx]
             rfl = row_left[i] - 1  # cells the line still needs after this one
             cfl = col_left[j] - 1
+            if fresh and keyed[idx]:
+                # rows at and below this one are untouched: this key decides
+                # the walk from here on, down to every node
+                if len(table) >= _TABLE_CAP:
+                    table.clear()
+                entry = table.setdefault((idx, *free, *col_need, *col_left), [])
+                opened[idx] = entry, left, count
+                if entry and entry[0] <= left and (not entry[1] or (
+                        stop_at is None and len(witnesses) >= witness_cap)):
+                    # The subtree fits what is left, so it would be walked
+                    # whole, and none of its grids is kept or stops the run:
+                    # charge it in one step, then skip Empty and the values
+                    # to backtrack as if the cell's choices were used up.
+                    left -= entry[0]
+                    count += entry[1]
+                    fresh, rfl = False, -1
             if fresh and row_room > rfl and col_room > cfl:
                 if not left:
                     return EnumerationResult(count, tuple(witnesses), False)
@@ -205,6 +242,11 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
         while True:
             if idx == 0:
                 return EnumerationResult(count, tuple(witnesses), True)
+            if keyed[idx]:
+                # the subtree below the row's first cell is done: record it
+                entry, was_left, was_count = opened[idx]
+                if not entry:
+                    entry += was_left - left, count - was_count
             idx -= 1
             pos = taken[idx]
             if pos < 0:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from holeymagic import HoleyGrid, MagicSpec, ShapeError, serialize, verify
+from holeymagic import HoleyGrid, MagicSpec, ShapeError, oracle, serialize, verify
 from holeymagic.oracle import EnumerationResult, _run, enumerate as brute_enumerate, exists_brute
 
 import support
@@ -149,6 +149,7 @@ def test_nonintegral_constants_short_circuit():
     ((4, 4, 2, 2), 5024, 0),
     ((4, 2, 2, 4), 927, 48),
     ((2, 6, 6, 2), 533_254, 1440),
+    ((6, 2, 2, 6), 80147, 1440),
 ])
 def test_pinned_node_charging(shape, nodes, count):
     done = brute_enumerate(*shape, witness_cap=0, node_budget=nodes)
@@ -247,17 +248,37 @@ def test_windowed_sweep_matches_reference():
 def test_in_place_resumes_match_reference():
     """Backtracking resumes a cell in the step that undoes it, and an Empty
     cell met while undoing starts its values: on these holey shapes both
-    happen at every kind of stopping point, so every budget is compared."""
+    happen at every kind of stopping point, so every budget is compared.
+    On (6,2,2,6) and (8,4,2,4) the row-start table also hits, 50 and 40
+    times by budget 1 000."""
     def outcome(res):
         return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
 
-    runs = [(shape, budget, None) for shape in [(3, 6, 4, 2), (5, 5, 3, 3)]
+    runs = [(shape, budget, None)
+            for shape in [(3, 6, 4, 2), (5, 5, 3, 3), (6, 2, 2, 6), (8, 4, 2, 4)]
             for budget in range(1, 1001)]
     runs += [(shape, 20_000, 3) for shape in _workload_shapes()]
     for shape, budget, stop_at in runs:
         got = _run(*shape, 2, budget, stop_at)
         want = support.reference_enumerate(*shape, 2, budget, stop_at)
         assert outcome(got) == outcome(want), (shape, budget, stop_at)
+
+
+def test_row_start_table_cap_stays_exact(monkeypatch):
+    """A table cleared whenever it is full still charges, counts and keeps
+    witnesses as the reference does, at every budget: with 2 entries it
+    clears at almost every row start, with 8 clears and hits interleave."""
+    def outcome(res):
+        return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
+
+    for shape in [(6, 2, 2, 6), (4, 2, 2, 4)]:
+        for budget in range(1, 1001):
+            for stop_at in (None, 1):
+                want = outcome(support.reference_enumerate(*shape, 2, budget, stop_at))
+                for cap in (2, 8):
+                    monkeypatch.setattr(oracle, "_TABLE_CAP", cap)
+                    got = _run(*shape, 2, budget, stop_at)
+                    assert outcome(got) == want, (shape, budget, stop_at, cap)
 
 
 def test_deep_walk_does_not_recurse():
