@@ -30,26 +30,21 @@ from .errors import (
 from .existence import Decision, decide, necessary_conditions
 from .grid import (
     HoleyGrid,
-    MagicConstants,
     MagicSpec,
     VerificationReport,
     Violation,
-    cyclic_run_start,
     diagonal_support,
     is_consecutive_cyclic,
-    magic_constants,
     parse,
     serialize,
     verify,
 )
 from .ingredients import (
-    DEFAULT_BUDGET,
     DiagonalProfile,
     IngredientCache,
     classical_rectangle,
     magic_rectangle_set,
     magic_square_holes,
-    profile_satisfied,
 )
 from .kotzig import KotzigArray, base_pair, base_triple, kotzig
 from .oracle import EnumerationResult, exists_brute
@@ -60,7 +55,6 @@ __all__ = [
     "BadIngredient",
     "CacheError",
     "CorruptCache",
-    "DEFAULT_BUDGET",
     "Decision",
     "DiagonalProfile",
     "EnumerationResult",
@@ -68,7 +62,6 @@ __all__ = [
     "HoleyMagicError",
     "IngredientCache",
     "KotzigArray",
-    "MagicConstants",
     "MagicSpec",
     "NmssResult",
     "NotConstructible",
@@ -83,13 +76,11 @@ __all__ = [
     "block_set",
     "classical_rectangle",
     "decide",
-    "cyclic_run_start",
     "diagonal_support",
     "exists_brute",
     "five_case",
     "is_consecutive_cyclic",
     "kotzig",
-    "magic_constants",
     "magic_rectangle_set",
     "magic_square_holes",
     "necessary_conditions",
@@ -97,7 +88,6 @@ __all__ = [
     "oracle",
     "parse",
     "product",
-    "profile_satisfied",
     "realize",
     "serialize",
     "stacked",

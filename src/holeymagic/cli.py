@@ -2,7 +2,7 @@
 
 Thin by design: each command maps to one library operation, prints MRX or
 a one-line verdict, and turns library errors into exit codes (1 for
-domain failures, 2 for usage problems).
+domain failures and running out of memory, 2 for usage problems).
 
 Every subcommand is one row of _COMMANDS: its group, name, help, flags,
 whether it takes --cache, and the call it makes.  The nine commands that
@@ -47,6 +47,9 @@ def dispatch(argv) -> int:
     except (HoleyMagicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -62,6 +65,7 @@ def _run_grids(namespace, key, flags, args) -> int:
 
 
 def _run_verify(args) -> int:
+    existence.require_positive_ints("--spec entries", *args.spec)
     try:
         if args.path is None:
             text = sys.stdin.read()
@@ -72,9 +76,7 @@ def _run_verify(args) -> int:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"undecodable byte {exc.object[exc.start]:#04x}: {exc.reason}",
                          line) from exc
-    grid = parse(text)
-    m, n, r, s = args.spec
-    report = verify(grid, MagicSpec(m, n, r, s))
+    report = verify(parse(text), MagicSpec(*args.spec))
     if report.ok:
         print(f"OK row={report.row_constant} col={report.col_constant}")
         return 0

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 from . import existence, ingredients
 from .errors import BadIngredient, NotConstructible
-from .grid import Cells, HoleyGrid, MagicSpec, above, beside, cyclic_run_start
+from .grid import Cells, HoleyGrid, MagicSpec, above, beside
 from .ingredients import _mrs_gate, require_magic, require_ms, two_per_column
 from .kotzig import kotzig, lift
 
@@ -31,9 +31,10 @@ class NmssResult:
 
 def _canonical_labels(support: frozenset, m: int) -> List[int]:
     """Diagonal index for each label 0..s-1, walking down from the top of
-    the consecutive run (so label i sits on diagonal run_start+s-1-i)."""
-    start = cyclic_run_start(support, m)
+    the consecutive run that require_ms checked (so label i sits on
+    diagonal run_start+s-1-i; a full run starts at 0)."""
     s = len(support)
+    start = 0 if s == m else next(d for d in support if (d - 1) % m not in support)
     return [(start + s - 1 - i) % m for i in range(s)]
 
 

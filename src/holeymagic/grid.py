@@ -3,19 +3,19 @@
 A holey grid is an m x n array whose cells are either empty or hold a
 nonnegative integer.  Every other module produces or consumes these.
 Every HoleyGrid checks its cells once, when it is built; above and beside
-take grids or bare cell blocks (kotzig.lift's copies) and build only the
-joined grid, so the blocks' cells are checked there, once.  parse,
-serialize and verify work a row at a time, with the per-cell work in
-comprehensions, str.join, tuple.count and sum.
+take bare cell blocks (kotzig.lift's copies) and build only the joined
+grid, so the blocks' cells are checked there, once.  verify's row and
+column targets are integers, or -1 where the paper's constant is not one.
+parse, serialize and verify work a row at a time, with the per-cell work
+in comprehensions, str.join, tuple.count and sum.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import ParseError, ShapeError
 from .existence import is_int
@@ -105,25 +105,6 @@ class MagicSpec:
         return self.m * self.r
 
 
-class MagicConstants(NamedTuple):
-    row_sum: Fraction
-    col_sum: Fraction
-    row_integral: bool
-    col_integral: bool
-
-
-def magic_constants(spec: MagicSpec) -> MagicConstants:
-    """Exact rational row and column sums forced by the value set.
-
-    The filled values are 0..mr-1, so the total is mr(mr-1)/2, each of the
-    m rows must sum to r(mr-1)/2 and each of the n columns to s(mr-1)/2.
-    """
-    t = spec.total_cells
-    row_sum = Fraction(spec.r * (t - 1), 2)
-    col_sum = Fraction(spec.s * (t - 1), 2)
-    return MagicConstants(row_sum, col_sum, row_sum.denominator == 1, col_sum.denominator == 1)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One failed magic axiom; `index` is the offending row or column when
@@ -155,18 +136,20 @@ def verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
     """Check every magic axiom of grid against spec.
 
     ok requires: r filled cells per row, s per column, filled values exactly
-    {0..mr-1} each once, and all row and column sums hitting the constants
-    from magic_constants.  row_constant/col_constant are reported whenever
-    the observed sums agree with each other, even on a failing grid.
+    {0..mr-1} each once, every row summing to r(mr-1)/2 and every column
+    to s(mr-1)/2.  The values total mr(mr-1)/2, so a constant that is not
+    an integer fails every line.  row_constant/col_constant are reported
+    whenever the observed sums agree with each other, even on a failing
+    grid.
     """
     if (grid.rows, grid.cols) != (spec.m, spec.n):
         raise ShapeError(
             f"grid is {grid.rows}x{grid.cols} but spec wants {spec.m}x{spec.n}"
         )
-    consts = magic_constants(spec)
-    # sums of integers never equal a non-integral constant, nor -1
-    row_target = int(consts.row_sum) if consts.row_integral else -1
-    col_target = int(consts.col_sum) if consts.col_integral else -1
+    # twice each constant; an odd one is no integer, and -1 is no sum
+    row2, col2 = spec.r * (spec.total_cells - 1), spec.s * (spec.total_cells - 1)
+    row_target = -1 if row2 % 2 else row2 // 2
+    col_target = -1 if col2 % 2 else col2 // 2
     cells = grid.cells
     row_fill, row_sums = _tallies(cells, spec.n)
     col_fill, col_sums = _tallies(zip(*cells), spec.m)  # one column alive at a time
@@ -207,32 +190,17 @@ def is_consecutive_cyclic(diagonals, modulus: int) -> bool:
     return starts == 1
 
 
-def cyclic_run_start(diagonals, modulus: int) -> int:
-    """First index of the consecutive run; 0 for the full set."""
-    if not is_consecutive_cyclic(diagonals, modulus):
-        raise ValueError(f"not a consecutive cyclic run: {sorted(diagonals)}")
-    if len(diagonals) == modulus:
-        return 0
-    return next(d for d in diagonals if (d - 1) % modulus not in diagonals)
+def above(blocks) -> HoleyGrid:
+    """Cell blocks (sequences of rows) of one width stacked top to bottom."""
+    return HoleyGrid.from_rows(chain.from_iterable(blocks))
 
 
-def _blocks(parts) -> list:
-    """The cells of each part: a HoleyGrid's, or a bare tuple of row
-    tuples such as kotzig.lift returns."""
-    return [p.cells if isinstance(p, HoleyGrid) else p for p in parts]
-
-
-def above(parts) -> HoleyGrid:
-    """Grids or cell blocks of one width stacked top to bottom."""
-    return HoleyGrid.from_rows(chain.from_iterable(_blocks(parts)))
-
-
-def beside(parts) -> HoleyGrid:
-    """Grids or cell blocks of one height set side by side, left to right."""
-    blocks = _blocks(parts)
+def beside(blocks) -> HoleyGrid:
+    """Cell blocks (sequences of rows) of one height set side by side,
+    left to right."""
     heights = sorted({len(b) for b in blocks})
     if len(heights) > 1:
-        raise ShapeError(f"cannot set grids of heights {heights} side by side")
+        raise ShapeError(f"cannot set blocks of heights {heights} side by side")
     return HoleyGrid.from_rows(chain.from_iterable(rows) for rows in zip(*blocks))
 
 

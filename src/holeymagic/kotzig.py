@@ -25,9 +25,6 @@ class KotzigArray:
     k: int
     entries: Tuple[Tuple[int, ...], ...]
 
-    def column_sums(self):
-        return tuple(sum(row[j] for row in self.entries) for j in range(self.k))
-
 
 def base_pair(k: int) -> KotzigArray:
     """2 x k block: identity permutation over its reversal."""

@@ -12,8 +12,9 @@ were windowed the same way, which the windowed sweep must match at every
 node budget.
 reference_parse and reference_verify are grid.parse and grid.verify as
 they were before they worked a row at a time (a token and a cell at a
-time, comparing sums with Fractions); the row-wise versions must match
-their grids, errors and reports exactly.
+time); the row-wise versions must match their grids, errors and reports
+exactly.  reference_verify compares doubled sums with doubled constants,
+so it takes none of verify's arithmetic.
 """
 
 import random
@@ -27,7 +28,6 @@ from holeymagic.grid import (
     MagicSpec,
     VerificationReport,
     Violation,
-    magic_constants,
 )
 from holeymagic.oracle import EnumerationResult
 
@@ -150,25 +150,22 @@ def mutate(grid: HoleyGrid, rng: random.Random) -> HoleyGrid:
     return HoleyGrid(grid.rows, grid.cols, tuple(tuple(row) for row in cells))
 
 
-def reference_search_assignment(cell_domain, lines, domains, budget, precedes=()):
+def reference_search_assignment(cell_domain, lines, domains, budget):
     """First exact assignment of distinct values to cells, or None.
 
     Cells are filled in index order.  cell_domain: domain index of each
     cell; lines: list of (target, cell indices in fill order); domains:
     list of ascending value tuples with exact counts (each domain holds as
-    many values as cells).  precedes: (earlier, later) cell pairs whose
-    values must increase, the earlier cell coming first in fill order; used
-    to break row/column permutation symmetry.
+    many values as cells).
 
     Each domain keeps its unused values as one ascending free list: a
     placement pops the value at its position and backtracking re-inserts
     it there, so a line's bounds are sums of the k smallest and k largest
     free values (plain slices), and a cell's candidates are the free values
-    from just above its precedence floor up to the smallest remaining line
-    target.  The search is an explicit-stack loop, so its depth is not
-    limited by the interpreter's recursion limit.  Charges one budget unit
-    per attempted placement and raises SearchBudgetExceeded on the attempt
-    after the budget runs dry.
+    up to the smallest remaining line target.  The search is an
+    explicit-stack loop, so its depth is not limited by the interpreter's
+    recursion limit.  Charges one budget unit per attempted placement and
+    raises SearchBudgetExceeded on the attempt after the budget runs dry.
     """
     ncells = len(cell_domain)
     gap = [t for t, _ in lines]  # a line's target minus its placed values
@@ -179,21 +176,16 @@ def reference_search_assignment(cell_domain, lines, domains, budget, precedes=()
         for c in reversed(seq):
             checks[c].append((L, tuple(counts.items())))
             counts[cell_domain[c]] = counts.get(cell_domain[c], 0) + 1
-    prec_of: List[List[int]] = [[] for _ in range(ncells)]
-    for earlier, later in precedes:
-        prec_of[later].append(earlier)
 
     free = [list(d) for d in domains]
     assignment = [0] * ncells
     pos_of = [0] * ncells  # free-list position each placed value came from
     left = budget.left
-    idx, pos = 0, None  # pos None: cell idx is entered afresh, not resumed
+    idx, pos = 0, 0  # the free-list position cell idx resumes from
     while idx < ncells:
         f = free[cell_domain[idx]]
         mine = checks[idx]
         cap = min(gap[L] for L, _ in mine)
-        if pos is None:
-            pos = bisect_right(f, max((assignment[p] for p in prec_of[idx]), default=-1))
         for pos in range(pos, bisect_right(f, cap)):
             left -= 1
             if left < 0:
@@ -234,7 +226,7 @@ def reference_search_assignment(cell_domain, lines, domains, budget, precedes=()
         for L, _ in mine:
             gap[L] -= v
         assignment[idx], pos_of[idx] = v, pos
-        idx, pos = idx + 1, None
+        idx, pos = idx + 1, 0
     budget.left = left
     return assignment
 
@@ -368,15 +360,17 @@ def reference_verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
     """Check every magic axiom of grid against spec.
 
     ok requires: r filled cells per row, s per column, filled values exactly
-    {0..mr-1} each once, and all row and column sums hitting the constants
-    from magic_constants.  row_constant/col_constant are reported whenever
-    the observed sums agree with each other, even on a failing grid.
+    {0..mr-1} each once, and all row and column sums hitting r(mr-1)/2 and
+    s(mr-1)/2, compared doubled so a half-integral constant meets no sum.
+    row_constant/col_constant are reported whenever the observed sums
+    agree with each other, even on a failing grid.
     """
     if (grid.rows, grid.cols) != (spec.m, spec.n):
         raise ShapeError(
             f"grid is {grid.rows}x{grid.cols} but spec wants {spec.m}x{spec.n}"
         )
-    consts = magic_constants(spec)
+    row_sum2 = spec.r * (spec.m * spec.r - 1)
+    col_sum2 = spec.s * (spec.m * spec.r - 1)
     failures = []
 
     row_fill = [0] * spec.m
@@ -400,10 +394,10 @@ def reference_verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
     if sorted(values) != list(range(spec.total_cells)):
         failures.append(Violation("ValueMultiset"))
     for i, total in enumerate(row_sums):
-        if total != consts.row_sum:
+        if 2 * total != row_sum2:
             failures.append(Violation("RowSum", i))
     for j, total in enumerate(col_sums):
-        if total != consts.col_sum:
+        if 2 * total != col_sum2:
             failures.append(Violation("ColSum", j))
 
     row_constant = row_sums[0] if len(set(row_sums)) == 1 else None

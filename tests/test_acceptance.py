@@ -284,7 +284,7 @@ def test_criterion_9_property_suite():
             for row in arr.entries:
                 assert sorted(row) == list(range(k))
             target = s * (k - 1)
-            assert all(2 * c == target for c in arr.column_sums())
+            assert all(2 * sum(col) == target for col in zip(*arr.entries))
             built += 1
 
     elapsed = time.perf_counter() - t0

@@ -191,6 +191,26 @@ def test_verify_parse_error(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_verify_nonpositive_spec_exits_two(capsys, monkeypatch):
+    # a usage error, as for every other command's sizes; a well-formed but
+    # impossible spec is still a domain failure
+    for spec, want in [("0 0 0 0", 2), ("0 4 4 2", 2), ("1 1 -1 1", 2), ("2 2 1 2", 1)]:
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n0\n"))
+        code, out, err = run(capsys, "verify", "--spec", *spec.split())
+        assert (code, out) == (want, "")
+        assert err.startswith("error: --spec entries must be positive" if want == 2 else "error:")
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    # a stand-in build: a grid this size is never allocated here
+    def too_big(m, k, **kw):
+        raise MemoryError
+
+    monkeypatch.setitem(construct.BUILDS, "TwoPerColumn", too_big)
+    code, out, err = run(capsys, "construct", "two-per-column", "--m", "100000", "--k", "100000")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def test_verify_undecodable_file_exits_one(capsys, tmp_path):
     path = tmp_path / "grid.mrx"
     path.write_bytes(b"1 1\n\xff\n")

@@ -11,10 +11,8 @@ from holeymagic import (
     MagicSpec,
     ParseError,
     ShapeError,
-    cyclic_run_start,
     diagonal_support,
     is_consecutive_cyclic,
-    magic_constants,
     parse,
     serialize,
     verify,
@@ -89,14 +87,16 @@ def test_non_int_sizes_raise_value_error(build):
         build()
 
 
-def test_magic_constants_exact():
-    c = magic_constants(MagicSpec(5, 10, 4, 2))
-    assert (c.row_sum, c.col_sum) == (38, 19)
-    assert c.row_integral and c.col_integral
-    # 12 values, row sum 3*11/2 is not an integer
-    c = magic_constants(MagicSpec(4, 6, 3, 2))
-    assert not c.row_integral
-    assert c.col_integral and c.col_sum == 11
+def test_verify_constants_exact():
+    report = verify(parse(golden.TWO_PER_COLUMN_5_2), MagicSpec(5, 10, 4, 2))
+    assert report.ok and (report.row_constant, report.col_constant) == (38, 19)
+    # 12 values, row sum 3*11/2 is not an integer: every row fails, however
+    # its values lie, while columns pairing j with 11-j all hit 2*11/2
+    g = HoleyGrid.from_rows([[0, 1, 2, None, None, None], [11, 10, 9, None, None, None],
+                             [None, None, None, 3, 4, 5], [None, None, None, 8, 7, 6]])
+    report = verify(g, MagicSpec(4, 6, 3, 2))
+    assert [str(f) for f in report.failures] == ["RowSum(0)", "RowSum(1)", "RowSum(2)", "RowSum(3)"]
+    assert (report.row_constant, report.col_constant) == (None, 11)
 
 
 def test_verify_accepts_golden():
@@ -145,20 +145,15 @@ def test_diagonal_support():
     g = parse(golden.SQUARE_5_3)
     assert diagonal_support(g) == {2, 3, 4}
     assert is_consecutive_cyclic({2, 3, 4}, 5)
-    assert cyclic_run_start({2, 3, 4}, 5) == 2
     with pytest.raises(ShapeError):
         diagonal_support(parse(golden.TWO_PER_COLUMN_3_2))
 
 
 def test_cyclic_runs_wrap():
     assert is_consecutive_cyclic({4, 0, 1}, 5)
-    assert cyclic_run_start({4, 0, 1}, 5) == 4
     assert not is_consecutive_cyclic({0, 2}, 5)
     assert not is_consecutive_cyclic(set(), 5)
     assert is_consecutive_cyclic({0, 1, 2, 3, 4}, 5)
-    assert cyclic_run_start({0, 1, 2, 3, 4}, 5) == 0
-    with pytest.raises(ValueError):
-        cyclic_run_start({0, 2}, 5)
 
 
 def test_beside_many_grids_concatenates_rows():
@@ -166,17 +161,17 @@ def test_beside_many_grids_concatenates_rows():
     grids = [HoleyGrid.from_rows([[rng.choice([None, rng.randint(0, 99)]) for _ in range(w)]
                                   for _ in range(3)])
              for w in [rng.randint(1, 4) for _ in range(500)]]
-    joined = beside(grids)
+    joined = beside([g.cells for g in grids])
     expected = tuple(tuple(v for g in grids for v in g.cells[i]) for i in range(3))
     assert joined == HoleyGrid(3, len(expected[0]), expected)
-    assert beside(grids[:1]) == grids[0]
+    assert beside([grids[0].cells]) == grids[0]
 
 
 def test_beside_rejects_unequal_heights():
     square = HoleyGrid.from_rows([[0, 1], [2, 3]])
     strip = HoleyGrid.from_rows([[4, 5]])
     with pytest.raises(ShapeError):
-        beside([square, strip])
+        beside([square.cells, strip.cells])
     with pytest.raises(ShapeError):
         beside([strip.cells, square.cells])
 
@@ -184,13 +179,13 @@ def test_beside_rejects_unequal_heights():
 def test_above_and_beside_take_cell_blocks():
     top = HoleyGrid.from_rows([[0, None], [None, 1]])
     bottom = ((2, 3),)
-    assert above([top, bottom]) == HoleyGrid.from_rows([[0, None], [None, 1], [2, 3]])
-    assert beside([top.cells, top]) == HoleyGrid.from_rows([[0, None, 0, None],
-                                                            [None, 1, None, 1]])
+    assert above([top.cells, bottom]) == HoleyGrid.from_rows([[0, None], [None, 1], [2, 3]])
+    assert beside([top.cells, [[0, None], (None, 1)]]) == HoleyGrid.from_rows(
+        [[0, None, 0, None], [None, 1, None, 1]])
     with pytest.raises(ShapeError):
-        above([top, ((2,),)])
+        above([top.cells, ((2,),)])
     with pytest.raises(ValueError):
-        beside([top, ((-1,), (0,))])  # the joined grid checks every block's cells
+        beside([top.cells, ((-1,), (0,))])  # the joined grid checks every block's cells
 
 
 def test_serialize_golden_fixed_point():
@@ -352,8 +347,9 @@ def test_verify_matches_reference():
             for v, slot in enumerate(slots):
                 cells[slot // n][slot % n] = v
             cases.append((HoleyGrid.from_rows(cells), MagicSpec(m, n, r, s)))
-    assert any(not magic_constants(spec).row_integral for _, spec in cases)
-    assert any(not magic_constants(spec).col_integral for _, spec in cases)
+    # twice the row constant is r(mr-1), twice the column constant s(mr-1)
+    assert any(spec.r * (spec.m * spec.r - 1) % 2 for _, spec in cases)
+    assert any(spec.s * (spec.m * spec.r - 1) % 2 for _, spec in cases)
     oks = 0
     for g, spec in cases:
         report = verify(g, spec)

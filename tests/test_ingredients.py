@@ -20,7 +20,6 @@ from holeymagic import (
     diagonal_support,
     is_consecutive_cyclic,
     parse,
-    profile_satisfied,
     realize,
     serialize,
     verify,
@@ -32,6 +31,7 @@ from holeymagic.ingredients import (
     classical_rectangle,
     magic_rectangle_set,
     magic_square_holes,
+    profile_satisfied,
     require_magic,
     require_ms,
 )
