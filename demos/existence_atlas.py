@@ -14,7 +14,7 @@ from collections import Counter
 from holeymagic import decide
 from holeymagic.oracle import exists_brute
 
-ORACLE_LIMIT = 12   # m*r at or below this is cheap to enumerate outright
+ORACLE_LIMIT = 24   # m*r at or below this is cheap to enumerate outright
 
 
 def well_shaped(limit):
@@ -50,7 +50,7 @@ def main():
             reasons[d.reason] += 1
 
         if m * r <= ORACLE_LIMIT:
-            answer = exists_brute(m, n, r, s)
+            answer = exists_brute(m, n, r, s, node_budget=2_000_000, allow_large=True)
             if answer != "inconclusive":
                 checked += 1
                 agree = (answer == "yes") == (d.verdict == "exists")

@@ -4,46 +4,48 @@ Shares no code with the constructions: a plain cell-by-cell backtracking
 sweep, row-major, trying Empty before values and values in ascending
 order, so counts and witness order are reproducible.
 
+Permuting the rows or the columns of an MR(m,n;r,s) gives another one,
+and no permutation but the identity fixes a grid: every line holds a
+value and all values differ.  So the sweep walks one canonical grid per
+orbit of the m!*n! permutations, and each grid it finds counts m!*n!:
+counts are multiples of m!*n!, and the witnesses are one per orbit.  A
+grid is canonical when its rows are sorted by their smallest value and its
+columns by the row that first fills them and the value there.  The sweep
+keeps it so with two rules.  Rows: each row holds the smallest value free
+when the row starts; its last value must be that one unless an earlier
+value was.  Columns: the columns holding a value are a prefix, so a value
+may open only the next column, and one that opens it next to a column the
+same row opened must exceed the value there.
+
 The sweep is an explicit-stack loop, so a walk thousands of cells deep
-needs no recursion limit; each of its steps makes one decision or settles
-one recorded subtree (below).  The unused values sit in one ascending free
-list: a placement pops its value, and backtracking re-inserts it at the
-same position or, when the cell resumes, swaps it for the value after it.
-A value fits a cell when, on its row and on its column, what the line still
-needs minus the value lies between the sums of the k smallest and of the k
-largest other free values, k being the line's cells still to fill after
-this one.  Leaving the value out changes those sums only when it is among
-the k, by trading it for the next smallest (largest) free value, so the
-values that fit form one window of the free list: on entering a cell's
-values the sweep finds it by bisection.  Backtracking undoes cells until
-one takes a new choice.  A cell holding a value resumes in that same step
-with the next position of its window, which the undo leaves as it was; an
-Empty cell starts its values afresh.
+needs no recursion limit; each of its steps makes one decision.  The
+unused values sit in one ascending free list: a placement pops its value,
+and backtracking re-inserts it at the same position or, when the cell
+resumes, swaps it for the value after it.  A value fits a cell when, on
+its row and on its column, what the line still needs minus the value lies
+between the sums of the k smallest and of the k largest other free
+values, k being the line's cells still to fill after this one.  Leaving
+the value out changes those sums only when it is among the k, by trading
+it for the next smallest (largest) free value, so the values that fit
+form one window of the free list: on entering a cell's values the sweep
+finds it by bisection, and the rules only narrow it.  Backtracking undoes
+cells until one takes a new choice.  A cell holding a value resumes in
+that same step with the next position of its window, which the undo
+leaves as it was; an Empty cell starts its values afresh.
 
 A node is one allowed Empty attempt or one free value examined, counting
 the first value too large for its line, which ends that cell's values; a
-run stops on node budget + 1.  Values the window skips, before it or after
-it once it is used up, are charged in one step, as if each were examined in
-turn, so node counts are those of a value-by-value walk.
-
-At the first cell of a row, the rows at and below it are untouched, so
-the free values and each column's need and count of cells still to fill
-decide the walk below, down to every node.  Rows above can be permuted, or
-swap values within columns, and reach that state again; the states after
-row 0 alone are all distinct, so only rows 2 and below (counted from 0)
-are keyed.  A table keyed by that state records the nodes and grids of
-each finished subtree.  When the state recurs, the subtree is charged in
-one step if its nodes fit what is left and it counted no grid, or no
-further witness is kept and the run does not stop at a count.  A walk
-stops only on a charge that exceeds what is left, so a subtree that fits
-would be walked whole: node semantics are unchanged.  The table is cleared
-when it holds _TABLE_CAP entries, which bounds its memory.
+run stops on node budget + 1.  A cell past the next column to open
+examines no value.  Values the window skips, before it or after it once
+it is used up, are charged in one step, as if each were examined in turn,
+so node counts are those of a value-by-value walk with the two rules.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import factorial
 from typing import Tuple
 
 from .existence import is_int
@@ -54,10 +56,6 @@ DEFAULT_NODE_BUDGET = 10 ** 9
 # Full enumeration is factorial; beyond this many values the caller must
 # opt in explicitly.
 LARGE_VALUE_COUNT = 14
-
-# Entries the row-start table holds before it is cleared: it grows with the
-# node budget, and the default budget is 10**9 nodes.
-_TABLE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,11 @@ def enumerate(m: int, n: int, r: int, s: int, witness_cap: int = 4,
               allow_large: bool = False) -> EnumerationResult:
     """Count every MR(m,n;r,s) grid, keeping up to witness_cap of them.
 
-    Malformed parameters raise ShapeError.  Running out of node budget
-    returns the partial count with exhausted=False instead of raising.
+    The count is m!*n! times the number of canonical grids, one per orbit
+    of the row and column permutations, and the witnesses are canonical
+    grids, so no two are permutations of each other.  Malformed parameters
+    raise ShapeError.  Running out of node budget returns the partial count
+    with exhausted=False instead of raising.
     """
     _check_args(m, n, r, s, witness_cap, node_budget, allow_large)
     return _run(m, n, r, s, witness_cap, node_budget, None)
@@ -111,18 +112,17 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
         # the magic constant is not an integer, so no grid can exist
         return EnumerationResult(0, (), True)
 
+    orbit = factorial(m) * factorial(n)  # grids per canonical grid
     cells = m * n
     # per cell: its row and column, and the cells after it in each
     cell_at = [(idx // n, idx % n, n - 1 - idx % n, m - 1 - idx // n)
                for idx in range(cells)]
-    # The first cells of rows 2 and below key a table of finished subtrees.
-    keyed = [i > 1 and not j for i, j, _, _ in cell_at] + [False]
-    table = {}  # row-start state -> [nodes, grids] of the subtree below it
-    opened = [None] * cells  # per keyed cell: (its entry, left, count) on entry
     row_left = [r] * m  # values each line still needs
     col_left = [s] * n
     row_need = [row2 // 2] * m  # the line's constant minus its placed values
     col_need = [col2 // 2] * n
+    row_low = [0] * m  # the smallest value free when the row started
+    opened = 0  # columns holding a value: always 0..opened-1
     free = list(range(total))  # unused values, ascending
     placed = [0] * cells  # the cell's value, when it holds one
     taken = [0] * cells  # free-list position of the cell's value, -1 if Empty
@@ -134,7 +134,7 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
     idx, fresh = 0, True  # fresh: the cell tries Empty before its values
     while True:
         if idx == cells:
-            count += 1
+            count += orbit
             if len(witnesses) < witness_cap:
                 witnesses.append(HoleyGrid.from_rows(
                     [placed[k] if taken[k] >= 0 else None for k in range(a, a + n)]
@@ -145,30 +145,17 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
             i, j, row_room, col_room = cell_at[idx]
             rfl = row_left[i] - 1  # cells the line still needs after this one
             cfl = col_left[j] - 1
-            if fresh and keyed[idx]:
-                # rows at and below this one are untouched: this key decides
-                # the walk from here on, down to every node
-                if len(table) >= _TABLE_CAP:
-                    table.clear()
-                entry = table.setdefault((idx, *free, *col_need, *col_left), [])
-                opened[idx] = entry, left, count
-                if entry and entry[0] <= left and (not entry[1] or (
-                        stop_at is None and len(witnesses) >= witness_cap)):
-                    # The subtree fits what is left, so it would be walked
-                    # whole, and none of its grids is kept or stops the run:
-                    # charge it in one step, then skip Empty and the values
-                    # to backtrack as if the cell's choices were used up.
-                    left -= entry[0]
-                    count += entry[1]
-                    fresh, rfl = False, -1
-            if fresh and row_room > rfl and col_room > cfl:
-                if not left:
-                    return EnumerationResult(count, tuple(witnesses), False)
-                left -= 1
-                taken[idx] = -1
-                idx += 1
-                continue
-            if rfl >= 0 and cfl >= 0:
+            if fresh:
+                if not j:
+                    row_low[i] = free[0]
+                if row_room > rfl and col_room > cfl:
+                    if not left:
+                        return EnumerationResult(count, tuple(witnesses), False)
+                    left -= 1
+                    taken[idx] = -1
+                    idx += 1
+                    continue
+            if rfl >= 0 and cfl >= 0 and j <= opened:
                 rneed = row_need[i]
                 cneed = col_need[j]
                 nfree = len(free)
@@ -180,9 +167,11 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
                 # one of those k trades it for free[k] (free[nfree-1-k]).
                 # So the fitting positions form one window [at, end).
                 if rfl == 0:
-                    # the row's last cell takes exactly what it needs
+                    # the row's last cell takes exactly what it needs, which
+                    # must be the row's smallest value while that is free
                     at = bisect_left(free, rneed, 0, stop)
-                    end = at + 1 if at < stop and free[at] == rneed else at
+                    end = at + 1 if at < stop and free[at] == rneed and (
+                        not at or free[0] != row_low[i]) else at
                 else:
                     if rfl == 1:
                         most = rneed - free[0]
@@ -213,6 +202,11 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
                         else:
                             at = bisect_left(free, least, at, end)
                             end = bisect_right(free, most, at, end)
+                if (at < end and j == opened and j and taken[idx - 1] >= 0
+                        and col_left[j - 1] == s - 1):
+                    # this row opened the column before: open this one with
+                    # a larger value
+                    at = bisect_right(free, placed[idx - 1], at, end)
                 # the values up to stop are examined, plus the first value
                 # too large for the row or column
                 cost = stop + (stop < nfree)
@@ -230,6 +224,7 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
                     row_need[i] = rneed - v
                     col_need[j] = cneed - v
                     taken[idx] = at
+                    opened += j == opened
                     idx += 1
                     fresh = True
                     continue
@@ -242,11 +237,6 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
         while True:
             if idx == 0:
                 return EnumerationResult(count, tuple(witnesses), True)
-            if keyed[idx]:
-                # the subtree below the row's first cell is done: record it
-                entry, was_left, was_count = opened[idx]
-                if not entry:
-                    entry += was_left - left, count - was_count
             idx -= 1
             pos = taken[idx]
             if pos < 0:
@@ -277,5 +267,6 @@ def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
             free.insert(pos, v)
             row_left[i] += 1
             col_left[j] += 1
+            opened -= col_left[j] == s  # the column is empty again
             row_need[i] += v
             col_need[j] += v

@@ -8,8 +8,11 @@ reference_search_assignment is the search kernel as it was before
 candidates were windowed: it tries and charges one candidate at a time,
 and the windowed kernel must match it node for node.
 reference_enumerate is the oracle's sweep as it was before its values
-were windowed the same way, which the windowed sweep must match at every
-node budget.
+were windowed the same way and before it walked one grid per orbit of the
+row and column permutations; the oracle's exhausted counts must equal its
+counts.  reference_canonical_enumerate walks one grid per orbit value by
+value, recursively, testing each value's fit from plain sums, and the
+oracle must match it at every node budget.
 reference_parse and reference_verify are grid.parse and grid.verify as
 they were before they worked a row at a time (a token and a cell at a
 time); the row-wise versions must match their grids, errors and reports
@@ -20,6 +23,7 @@ so it takes none of verify's arithmetic.
 import random
 import re
 from bisect import bisect_left, bisect_right
+from math import factorial
 from typing import Dict, List
 
 from holeymagic import HoleyGrid, ParseError, SearchBudgetExceeded, ShapeError
@@ -232,9 +236,9 @@ def reference_search_assignment(cell_domain, lines, domains, budget):
 
 
 def reference_enumerate(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
-    """The oracle's sweep as it was before candidates were windowed: it
-    examines and charges one free value at a time, and the windowed sweep
-    must match its count, witnesses and exhaustion at every budget.
+    """The oracle's sweep as it was before candidates were windowed and
+    before it kept one grid per orbit: it examines and charges one free
+    value at a time over every grid.
 
     Same arguments and result as holeymagic.oracle._run.
     """
@@ -354,6 +358,95 @@ def reference_enumerate(m, n, r, s, witness_cap, node_budget, stop_at) -> Enumer
         row_need[i] += v
         col_need[j] += v
         start = pos + 1
+
+
+class _StopWalk(Exception):
+    pass
+
+
+def reference_canonical_enumerate(m, n, r, s, witness_cap, node_budget,
+                                  stop_at) -> EnumerationResult:
+    """A value-by-value walk over canonical grids, each counting m!*n!.
+
+    Canonical: each row holds the smallest value free when it starts, and
+    the columns holding a value are a prefix, a value opening the next one
+    only, larger than the value in the previous column if the same row
+    opened that.  Cells row-major, Empty first, then each free value in
+    ascending order, one node each, up to and including the first value
+    above what the row or the column still needs.  A cell past the next
+    column to open examines no value.  Same arguments and result as
+    holeymagic.oracle._run.
+    """
+    total = m * r
+    if r * (total - 1) % 2 or s * (total - 1) % 2:
+        return EnumerationResult(0, (), True)
+    orbit = factorial(m) * factorial(n)
+    grid = [[None] * n for _ in range(m)]
+    free = list(range(total))
+    row_need = [r * (total - 1) // 2] * m
+    col_need = [s * (total - 1) // 2] * n
+    row_left = [r] * m
+    col_left = [s] * n
+    left = node_budget
+    count = 0
+    witnesses = []
+
+    def walk(idx, opened, low):
+        nonlocal left, count
+        if idx == m * n:
+            count += orbit
+            if len(witnesses) < witness_cap:
+                witnesses.append(HoleyGrid.from_rows([row[:] for row in grid]))
+            if stop_at is not None and count >= stop_at:
+                raise _StopWalk
+            return
+        i, j = divmod(idx, n)
+        if j == 0:
+            low = free[0]
+        rk = row_left[i] - 1
+        ck = col_left[j] - 1
+        if n - 1 - j > rk and m - 1 - i > ck:
+            left -= 1
+            if left < 0:
+                raise _StopWalk
+            walk(idx + 1, opened, low)
+        if rk < 0 or ck < 0 or j > opened:
+            return
+        above = -1
+        if j == opened and j and grid[i][j - 1] is not None and col_left[j - 1] == s - 1:
+            above = grid[i][j - 1]
+        for p, v in enumerate(list(free)):
+            left -= 1
+            if left < 0:
+                raise _StopWalk
+            if v > row_need[i] or v > col_need[j]:
+                return
+            if v <= above or (rk == 0 and low in free and v != low):
+                continue
+            # the line's other k cells can take need - v from the other values
+            rest = free[:p] + free[p + 1:]
+            if not all(sum(rest[:k]) <= need - v <= sum(rest[len(rest) - k:])
+                       for need, k in ((row_need[i], rk), (col_need[j], ck))):
+                continue
+            del free[p]
+            grid[i][j] = v
+            row_need[i] -= v
+            col_need[j] -= v
+            row_left[i] -= 1
+            col_left[j] -= 1
+            walk(idx + 1, opened + (j == opened), low)
+            free.insert(p, v)
+            grid[i][j] = None
+            row_need[i] += v
+            col_need[j] += v
+            row_left[i] += 1
+            col_left[j] += 1
+
+    try:
+        walk(0, 0, 0)
+    except _StopWalk:
+        return EnumerationResult(count, tuple(witnesses), False)
+    return EnumerationResult(count, tuple(witnesses), True)
 
 
 def reference_verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:

@@ -180,23 +180,30 @@ def test_criterion_6_oracle_ground_truth():
 
 def test_criterion_7_decide_oracle_consistency():
     t0 = time.perf_counter()
-    shapes = support.all_well_shaped(12)
+    shapes = support.all_well_shaped(24)
+    assert len(shapes) == 224
     verdicts = {"exists": 0, "not-exists": 0, "unknown": 0}
-    inconsistent = []
+    inconclusive, inconsistent, unknown = [], [], []
     for shape in shapes:
         decision = decide(*shape)
         verdicts[decision.verdict] += 1
-        answer = exists_brute(*shape)
-        if decision.verdict == "exists" and answer == "no":
-            inconsistent.append((shape, "claimed exists, oracle exhausted empty"))
-        if decision.verdict == "not-exists" and answer == "yes":
-            inconsistent.append((shape, "claimed impossible, oracle found a witness"))
+        answer = exists_brute(*shape, node_budget=2_000_000, allow_large=True)
+        if answer == "inconclusive":
+            inconclusive.append(shape)
+        elif decision.verdict == "unknown":
+            m, n, r, s = shape
+            unknown.append((shape, answer, decide(n, m, s, r).verdict))
+        elif (answer == "yes") != (decision.verdict == "exists"):
+            inconsistent.append((shape, decision.verdict, answer))
     elapsed = time.perf_counter() - t0
+    assert inconclusive == []
     assert inconsistent == []
-    # the one shape left unknown is (6,3,2,4), the transpose of an exists shape
-    assert verdicts["unknown"] <= 1
+    # each shape left unknown has a witness, and its transpose is decided
+    assert unknown == [(shape, "yes", "exists") for shape in [
+        (6, 3, 2, 4), (8, 4, 2, 4), (9, 3, 2, 6), (10, 5, 2, 4),
+        (12, 3, 2, 8), (12, 4, 2, 6), (12, 6, 2, 4)]]
     assert elapsed < 600.0
-    print(f"criterion 7 (decide vs oracle, mr<=12): PASS "
+    print(f"criterion 7 (decide vs oracle, mr<=24): PASS "
           f"({len(shapes)} shapes, {verdicts}, {elapsed:.1f}s)")
 
 

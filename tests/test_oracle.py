@@ -1,10 +1,12 @@
+import functools
 import hashlib
 import itertools
+import math
 import sys
 
 import pytest
 
-from holeymagic import HoleyGrid, MagicSpec, ShapeError, oracle, serialize, verify
+from holeymagic import HoleyGrid, MagicSpec, ShapeError, serialize, verify
 from holeymagic.oracle import EnumerationResult, _run, enumerate as brute_enumerate, exists_brute
 
 import support
@@ -65,11 +67,50 @@ def test_trivial_witness():
 
 
 def test_witnesses_verify_and_cap():
-    result = brute_enumerate(2, 4, 4, 2, witness_cap=3)
-    assert result.count == 48
-    assert len(result.witnesses) == 3
+    # 8 orbits of 3!*6! grids each, so the cap of 3 keeps 3 distinct orbits
+    result = brute_enumerate(3, 6, 4, 2, witness_cap=3)
+    assert result.count == 8 * 6 * 720
+    assert len(set(result.witnesses)) == 3
     for w in result.witnesses:
-        assert verify(w, MagicSpec(2, 4, 4, 2)).ok
+        assert verify(w, MagicSpec(3, 6, 4, 2)).ok
+
+
+def _is_canonical(grid):
+    """Rows sorted by their smallest value; columns sorted by the row that
+    first fills them and the value there."""
+    rows = grid.cells
+    mins = [min(v for v in row if v is not None) for row in rows]
+    firsts = [min((i, row[j]) for i, row in enumerate(rows) if row[j] is not None)
+              for j in range(grid.cols)]
+    return mins == sorted(mins) and firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("shape", [
+    (3, 3, 3, 3), (3, 6, 4, 2), (6, 3, 2, 4), (5, 5, 3, 3), (8, 4, 2, 4), (8, 2, 2, 8),
+], ids=lambda shape: "_".join(map(str, shape)))
+def test_witnesses_are_canonical(shape):
+    """Every kept witness is the canonical grid of its orbit, and each orbit
+    adds m!*n! to the count."""
+    m, n = shape[:2]
+    result = brute_enumerate(*shape, witness_cap=10 ** 6, allow_large=True)
+    assert result.exhausted
+    assert result.count == len(result.witnesses) * math.factorial(m) * math.factorial(n)
+    assert len(set(result.witnesses)) == len(result.witnesses)
+    for w in result.witnesses:
+        assert _is_canonical(w)
+        assert support.naive_check(w, *shape)
+
+
+@pytest.mark.parametrize("shape, count", [
+    ((8, 4, 2, 4), 100_638_720),
+    ((4, 8, 4, 2), 100_638_720),
+    ((10, 2, 2, 10), 72_576_000),
+], ids=["8_4_2_4", "4_8_4_2", "10_2_2_10"])
+def test_full_counts_past_the_value_limit(shape, count):
+    # a walk over every grid runs out of the default 10**9 nodes on
+    # (10,2,2,10)
+    result = brute_enumerate(*shape, witness_cap=0, allow_large=True)
+    assert result == EnumerationResult(count, (), True)
 
 
 def test_deterministic():
@@ -139,17 +180,17 @@ def test_nonintegral_constants_short_circuit():
     assert result.exhausted
 
 
-# Node charging, frozen before the oracle became an explicit-stack loop: a
-# node is one allowed Empty attempt or one free value examined, counting the
-# value that ends a cell's ascending walk, and a run stops on budget + 1.
-# Each shape exhausts at exactly the pinned budget and not one node sooner.
+# Node charging, read off the value-by-value canonical reference: a node is
+# one allowed Empty attempt or one free value examined, counting the value
+# that ends a cell's ascending walk, and a run stops on budget + 1.  Each
+# shape exhausts at exactly the pinned budget and not one node sooner.
 @pytest.mark.parametrize("shape, nodes, count", [
-    ((3, 3, 3, 3), 4287, 72),
-    ((2, 4, 4, 2), 1808, 48),
-    ((4, 4, 2, 2), 5024, 0),
-    ((4, 2, 2, 4), 927, 48),
-    ((2, 6, 6, 2), 533_254, 1440),
-    ((6, 2, 2, 6), 80147, 1440),
+    ((3, 3, 3, 3), 336, 72),
+    ((2, 4, 4, 2), 356, 48),
+    ((4, 4, 2, 2), 65, 0),
+    ((4, 2, 2, 4), 81, 48),
+    ((2, 6, 6, 2), 7581, 1440),
+    ((6, 2, 2, 6), 280, 1440),
 ])
 def test_pinned_node_charging(shape, nodes, count):
     done = brute_enumerate(*shape, witness_cap=0, node_budget=nodes)
@@ -161,24 +202,24 @@ def test_pinned_node_charging(shape, nodes, count):
 PARTIAL_3_5_5_3 = """\
 3 5
 0 1 8 12 14
-10 13 4 3 5
-11 7 9 6 2
+10 13 4 6 2
+11 7 9 3 5
 """
 
 
 def test_pinned_partial_result():
     result = brute_enumerate(3, 5, 5, 3, witness_cap=1, node_budget=20_000,
                              allow_large=True)
-    assert (result.count, result.exhausted) == (10, False)
+    assert (result.count, result.exhausted) == (10 * 6 * 120, False)
     assert [serialize(w) for w in result.witnesses] == [PARTIAL_3_5_5_3]
 
 
 PARTIAL_4_4_4_4 = """\
 4 4
 0 1 14 15
-5 10 6 9
-12 11 3 4
-13 8 7 2
+7 12 9 2
+13 6 3 8
+10 11 4 5
 """
 
 PARTIAL_12_2_2_12 = """\
@@ -186,27 +227,28 @@ PARTIAL_12_2_2_12 = """\
 0 23
 1 22
 2 21
-7 16
-12 11
-13 10
-14 9
-15 8
-17 6
-18 5
-19 4
 20 3
+19 4
+18 5
+17 6
+7 16
+15 8
+14 9
+13 10
+12 11
 """
 
 
-# Counted on the value-by-value sweep, before its values were windowed.
-@pytest.mark.parametrize("shape, count, text, digest", [
-    ((4, 4, 4, 4), 82, PARTIAL_4_4_4_4, "7e0fd532d138ca05"),
-    ((12, 2, 2, 12), 1763, PARTIAL_12_2_2_12, "81c566df222af99b"),
+# Counted on the value-by-value canonical reference; (12,2,2,12) exhausts
+# within the budget, at 34 orbits of 12!*2! grids.
+@pytest.mark.parametrize("shape, count, exhausted, text, digest", [
+    ((4, 4, 4, 4), 20 * 24 * 24, False, PARTIAL_4_4_4_4, "273c542e98f62a3d"),
+    ((12, 2, 2, 12), 32_572_108_800, True, PARTIAL_12_2_2_12, "afab8aba413273e7"),
 ], ids=["4_4_4_4", "12_2_2_12"])
-def test_pinned_partial_results(shape, count, text, digest):
+def test_pinned_partial_results(shape, count, exhausted, text, digest):
     assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
     result = brute_enumerate(*shape, witness_cap=1, node_budget=20_000, allow_large=True)
-    assert (result.count, result.exhausted) == (count, False)
+    assert (result.count, result.exhausted) == (count, exhausted)
     assert [serialize(w) for w in result.witnesses] == [text]
 
 
@@ -225,12 +267,34 @@ def _workload_shapes():
     return shapes
 
 
-def test_windowed_sweep_matches_reference():
-    """Windowed values against the value-by-value sweep: same count,
-    exhaustion and witnesses, so the same nodes, at every budget tried."""
-    def outcome(res):
-        return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
+def _outcome(res):
+    return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
 
+
+@functools.cache
+def _every_grid_count(shape):
+    """The walk over every grid at the largest budget compared, or None
+    where it runs out: it exhausts at no smaller budget."""
+    every = support.reference_enumerate(*shape, 0, 20_000, None)
+    return every.count if every.exhausted else None
+
+
+def _check_against_references(runs):
+    """_run matches the canonical reference in count, exhaustion and
+    witnesses, so in nodes too; where the walk over every grid exhausts as
+    well, their exhausted counts agree."""
+    for shape, budget, stop_at in runs:
+        assert budget <= 20_000
+        got = _outcome(_run(*shape, 2, budget, stop_at))
+        assert got == _outcome(support.reference_canonical_enumerate(
+            *shape, 2, budget, stop_at)), (shape, budget, stop_at)
+        if got[1] and _every_grid_count(shape) is not None:
+            assert got[0] == _every_grid_count(shape), shape
+
+
+def test_windowed_sweep_matches_reference():
+    """Windowed values against the value-by-value canonical walk at every
+    budget tried."""
     shapes = _workload_shapes()
     assert len(shapes) == 111
     runs = [(shape, budget, None) for shape in shapes
@@ -239,46 +303,18 @@ def test_windowed_sweep_matches_reference():
              for shape in [(3, 3, 3, 3), (2, 4, 4, 2), (4, 4, 2, 2), (4, 2, 2, 4)]
              for budget in range(1, 1001)]
     runs += [(shape, 20_000, 1) for shape in shapes]  # exists_brute's path
-    for shape, budget, stop_at in runs:
-        got = _run(*shape, 2, budget, stop_at)
-        want = support.reference_enumerate(*shape, 2, budget, stop_at)
-        assert outcome(got) == outcome(want), (shape, budget, stop_at)
+    _check_against_references(runs)
 
 
 def test_in_place_resumes_match_reference():
     """Backtracking resumes a cell in the step that undoes it, and an Empty
     cell met while undoing starts its values: on these holey shapes both
-    happen at every kind of stopping point, so every budget is compared.
-    On (6,2,2,6) and (8,4,2,4) the row-start table also hits, 50 and 40
-    times by budget 1 000."""
-    def outcome(res):
-        return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
-
+    happen at every kind of stopping point, so every budget is compared."""
     runs = [(shape, budget, None)
             for shape in [(3, 6, 4, 2), (5, 5, 3, 3), (6, 2, 2, 6), (8, 4, 2, 4)]
             for budget in range(1, 1001)]
     runs += [(shape, 20_000, 3) for shape in _workload_shapes()]
-    for shape, budget, stop_at in runs:
-        got = _run(*shape, 2, budget, stop_at)
-        want = support.reference_enumerate(*shape, 2, budget, stop_at)
-        assert outcome(got) == outcome(want), (shape, budget, stop_at)
-
-
-def test_row_start_table_cap_stays_exact(monkeypatch):
-    """A table cleared whenever it is full still charges, counts and keeps
-    witnesses as the reference does, at every budget: with 2 entries it
-    clears at almost every row start, with 8 clears and hits interleave."""
-    def outcome(res):
-        return res.count, res.exhausted, [serialize(w) for w in res.witnesses]
-
-    for shape in [(6, 2, 2, 6), (4, 2, 2, 4)]:
-        for budget in range(1, 1001):
-            for stop_at in (None, 1):
-                want = outcome(support.reference_enumerate(*shape, 2, budget, stop_at))
-                for cap in (2, 8):
-                    monkeypatch.setattr(oracle, "_TABLE_CAP", cap)
-                    got = _run(*shape, 2, budget, stop_at)
-                    assert outcome(got) == want, (shape, budget, stop_at, cap)
+    _check_against_references(runs)
 
 
 def test_deep_walk_does_not_recurse():
