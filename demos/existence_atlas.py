@@ -50,7 +50,7 @@ def main():
             reasons[d.reason] += 1
 
         if m * r <= ORACLE_LIMIT:
-            answer = exists_brute(m, n, r, s, node_budget=2_000_000, allow_large=True)
+            answer = exists_brute(m, n, r, s, node_budget=2_000_000)
             if answer != "inconclusive":
                 checked += 1
                 agree = (answer == "yes") == (d.verdict == "exists")

@@ -38,7 +38,7 @@ class SearchBudgetExceeded(HoleyMagicError):
     never evidence of nonexistence.  Carries the ingredient it gave up on,
     e.g. "MS(7;4)" or "MS(8;4) profile 1:0:7", and the nodes spent, at
     least 1; 0 nodes means that nothing was searched (an odd coprime
-    MR(a,b) with both sides at least 7, which has no construction here)."""
+    MR(a,b) with both sides at least 7 and prime to 15, refused at once)."""
 
     def __init__(self, ingredient: str, nodes: int):
         super().__init__(ingredient, nodes)  # args rebuild it when unpickled
@@ -48,7 +48,7 @@ class SearchBudgetExceeded(HoleyMagicError):
     def __str__(self):
         if self.nodes == 0:
             return (f"{self.ingredient}: no construction for odd coprime sides "
-                    "both >= 7; nothing was searched")
+                    "both >= 7 and prime to 15; nothing was searched")
         return f"{self.ingredient}: node budget exhausted after {self.nodes} nodes"
 
 

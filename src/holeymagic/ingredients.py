@@ -7,11 +7,12 @@ deterministic backtracking search; only a searched square is stored
 when a cache is given.  Closed forms lift a small base through Kotzig
 arrays (kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3,
 and the full squares MS(m;m); odd coprime MR(a,b) with a short side of 3
-or 5 are signed magic arrays shifted up.  Every MRS(a,b;c) is c copies
-of MR(a,b) lifted through one more Kotzig array.  Odd coprime rectangles
-with both sides at least 7, and the sets over them, are never searched:
-they raise SearchBudgetExceeded with 0 nodes at once.  Thin squares
-(s < m) and profiled squares the closed form misses are searched, and
+or 5 are signed magic arrays shifted up, and those with a side divisible
+by 3 or 5 lift one of them.  Every MRS(a,b;c) is c copies of MR(a,b)
+lifted through one more Kotzig array.  The other odd coprime rectangles,
+and the sets over them, are never searched: they raise
+SearchBudgetExceeded with 0 nodes at once.  Thin squares (s < m) and
+profiled squares the closed form misses are searched, and
 the cache holds only those (`mr` entries of older versions still load).
 A diagonal profile is one run of the lowest values.  Search failure by
 exhaustion raises NotConstructible; running out of node budget raises
@@ -215,7 +216,7 @@ def _siamese(g: int) -> HoleyGrid:
 
 def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
     """Full MR(a,b) on 0..ab-1 for a pair mr_exists allows, or None when
-    both sides are odd, coprime and at least 7.
+    both sides are odd, coprime, at least 7 and prime to 15.
 
     Even sides stack a/2 copies of MR(2,b) (its columns as classes; b = 2
     transposes MR(2,a)).  Odd sides with g = gcd(a,b) >= 3 stack a/g
@@ -225,7 +226,9 @@ def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
     short side as the rows, shifted up by h = (ab-1)/2: an MR(a,b) with ab
     odd, less h, holds -h..h and every line sums to 0 (Khodkar, Schulz and
     Wagner, "Existence of some signed magic arrays", Discrete Math. 340,
-    2017).  MR(5,7) is a catalog entry.
+    2017).  MR(5,7) is a catalog entry.  Other odd coprime sides set b/p
+    MR(a,p) side by side (rows as classes), or stack a/p MR(p,b) (columns
+    as classes), for p = 3 or 5 dividing b or a.
     """
     if a % 2 == 0:
         if b == 2:
@@ -243,6 +246,11 @@ def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
         h = (a * b - 1) // 2
         rows = [[h + v for v in row] for row in signed]
     else:
+        for p in (3, 5):
+            if b % p == 0:
+                return beside(lift(_closed_rectangle(a, p), lambda i, j: i, kotzig(a, b // p)))
+            if a % p == 0:
+                return above(lift(_closed_rectangle(p, b), lambda i, j: j, kotzig(b, a // p)))
         return None
     return HoleyGrid.from_rows(zip(*rows) if a > b else rows)
 
@@ -580,8 +588,8 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
 
     Raises NotConstructible unless existence.mr_exists(a, b), and at once
     SearchBudgetExceeded with 0 nodes (inconclusive) for odd coprime sides
-    both at least 7, which have no closed form here; nothing is searched,
-    so `cache` and `budget` are unused.
+    both at least 7 and prime to 15, which have no closed form here;
+    nothing is searched, so `cache` and `budget` are unused.
     """
     existence.require_positive_ints("a and b", a, b)
     if not existence.mr_exists(a, b):
@@ -618,13 +626,13 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
     Raises ValueError when a > b and NotConstructible unless
     existence.mrs_exists(a, b, c).  The set is c copies of
     classical_rectangle(a, b) lifted through a Kotzig array (kotzig.lift),
-    so an odd coprime base with both sides at least 7 raises its
-    SearchBudgetExceeded with 0 nodes, and nothing searches.  Even sides use
-    kotzig(2, c) with checkerboard classes.  Odd sides use the rows of
-    base_triple(c), their complements c-1-T, the identity and the reversal,
-    classed by _odd_set_class: the first three cells of every line of the
-    base follow T0, T1 and T2 or their three complements, and its other
-    cells, an even number, alternate between two rows that sum to c-1.
+    so a base with no closed form raises its SearchBudgetExceeded with 0
+    nodes, and nothing searches.  Even sides use kotzig(2, c) with
+    checkerboard classes.  Odd sides use the rows of base_triple(c), their
+    complements c-1-T, the identity and the reversal, classed by
+    _odd_set_class: the first three cells of every line of the base follow
+    T0, T1 and T2 or their three complements, and its other cells, an even
+    number, alternate between two rows that sum to c-1.
     So every line of every copy gains the same amount.
     """
     _mrs_gate(a, b, c)

@@ -39,6 +39,8 @@ run stops on node budget + 1.  A cell past the next column to open
 examines no value.  Values the window skips, before it or after it once
 it is used up, are charged in one step, as if each were examined in turn,
 so node counts are those of a value-by-value walk with the two rules.
+The node budget is a run's only bound; the default ends a run within
+seconds and exhausts every shape with mr <= 19.
 """
 
 from __future__ import annotations
@@ -51,11 +53,7 @@ from typing import Tuple
 from .existence import is_int
 from .grid import HoleyGrid, MagicSpec
 
-DEFAULT_NODE_BUDGET = 10 ** 9
-
-# Full enumeration is factorial; beyond this many values the caller must
-# opt in explicitly.
-LARGE_VALUE_COUNT = 14
+DEFAULT_NODE_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -74,34 +72,28 @@ def enumerate(m: int, n: int, r: int, s: int, witness_cap: int = 4,
     of the row and column permutations, and the witnesses are canonical
     grids, so no two are permutations of each other.  Malformed parameters
     raise ShapeError.  Running out of node budget returns the partial count
-    with exhausted=False instead of raising.
+    with exhausted=False instead of raising.  allow_large is ignored.
     """
-    _check_args(m, n, r, s, witness_cap, node_budget, allow_large)
+    _check_args(m, n, r, s, witness_cap, node_budget)
     return _run(m, n, r, s, witness_cap, node_budget, None)
 
 
 def exists_brute(m: int, n: int, r: int, s: int,
-                 node_budget: int = DEFAULT_NODE_BUDGET, *,
-                 allow_large: bool = False) -> str:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> str:
     """"yes", "no" or "inconclusive", stopping at the first witness."""
-    _check_args(m, n, r, s, 1, node_budget, allow_large)
+    _check_args(m, n, r, s, 1, node_budget)
     res = _run(m, n, r, s, 1, node_budget, 1)
     if res.count > 0:
         return "yes"
     return "no" if res.exhausted else "inconclusive"
 
 
-def _check_args(m, n, r, s, witness_cap, node_budget, allow_large) -> None:
+def _check_args(m, n, r, s, witness_cap, node_budget) -> None:
     MagicSpec(m, n, r, s)
     if not is_int(witness_cap) or witness_cap < 0:
         raise ValueError("witness_cap must be an integer >= 0")
     if not is_int(node_budget) or node_budget < 1:
         raise ValueError("node_budget must be a positive integer")
-    if m * r > LARGE_VALUE_COUNT and not allow_large:
-        raise ValueError(
-            f"{m * r} values is beyond the {LARGE_VALUE_COUNT}-value enumeration "
-            "limit; only the library call, with allow_large=True, searches past it"
-        )
 
 
 def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:

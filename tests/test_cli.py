@@ -257,11 +257,10 @@ def test_oracle_witness_output(capsys):
     assert verify(parse(rest), MagicSpec(2, 4, 4, 2)).ok
 
 
-def test_oracle_large_shape_names_the_limit(capsys):
-    code, out, err = run(capsys, "oracle", "--m", "4", "--n", "4", "--r", "4", "--s", "4")
-    assert (code, out) == (2, "")
-    assert err == ("error: 16 values is beyond the 14-value enumeration limit; "
-                   "only the library call, with allow_large=True, searches past it\n")
+def test_oracle_counts_past_14_values_at_the_default_budget(capsys):
+    code, out, _ = run(capsys, "oracle", "--m", "4", "--n", "4", "--r", "4", "--s", "4",
+                       "--cap", "0")
+    assert (code, out) == (0, "count=549504 exhausted=true\n")
 
 
 def test_oracle_budget_flag(capsys):

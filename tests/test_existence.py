@@ -83,7 +83,7 @@ def test_singleton_line_verdicts_agree_with_the_oracle():
               if decide(*x).reason == "SingletonLine"]
     assert len(shapes) == 15
     for shape in shapes:
-        assert exists_brute(*shape, allow_large=True) == "no", shape
+        assert exists_brute(*shape) == "no", shape
 
 
 def test_decide_shape_violations():

@@ -220,10 +220,13 @@ def test_mrs_even_pair():
 
 
 def test_closed_form_rectangles():
+    # every pair mr_exists allows but odd coprime ones prime to 15; a side
+    # divisible by 3 or 5 lifts MR(a,3), MR(a,5), MR(3,b) or MR(5,b)
     built = 0
     for a in range(2, 301):
         for b in range(2, 600 // a + 1):
-            if (a + b) % 2 or a + b <= 5 or (a % 2 and math.gcd(a, b) == 1):
+            if (a + b) % 2 or a + b <= 5 or (a % 2 and math.gcd(a, b) == 1
+                                             and a * b % 3 and a * b % 5):
                 continue
             g = classical_rectangle(a, b, budget=1)
             assert verify(g, MagicSpec(a, b, b, a)).ok, (a, b)
@@ -246,8 +249,9 @@ def test_closed_form_rectangles_with_three_or_five_rows(monkeypatch):
                 built += 1
     assert calls == []
     assert built == 218  # 50 pairs with 3 rows and 59 with 5, both orientations
-    # a short side of 7 or more has no closed form
-    for a, b in [(7, 9), (9, 7), (7, 151), (11, 13)]:
+    # a short side of 7 or more, with both sides prime to 15, has no
+    # closed form
+    for a, b in [(7, 11), (11, 7), (7, 151), (11, 13)]:
         assert ingredients._closed_rectangle(a, b) is None
 
 
@@ -368,13 +372,14 @@ def test_cache_rejects_malformed_file(tmp_path):
 
 def test_cached_mrs_roundtrip(tmp_path, monkeypatch):
     # a set lifts its base rectangle; an odd coprime base with both sides
-    # at least 7 is refused before the cache or the kernel is reached
+    # at least 7 and prime to 15 is refused before the cache or the kernel
+    # is reached
     calls = _counting_kernel(monkeypatch)
     path = tmp_path / "ing.mrx"
     cache = IngredientCache(path)
-    for fetch in (lambda: magic_rectangle_set(7, 9, 3, cache=cache, budget=1_000),
-                  lambda: magic_rectangle_set(7, 9, 5, cache=cache, budget=1_000),
-                  lambda: classical_rectangle(9, 7, cache=cache, budget=1_000)):
+    for fetch in (lambda: magic_rectangle_set(7, 11, 3, cache=cache, budget=1_000),
+                  lambda: magic_rectangle_set(7, 11, 5, cache=cache, budget=1_000),
+                  lambda: classical_rectangle(11, 7, cache=cache, budget=1_000)):
         with pytest.raises(SearchBudgetExceeded) as info:
             fetch()
         assert info.value.nodes == 0
@@ -503,8 +508,8 @@ def test_only_searched_ingredients_touch_the_cache(tmp_path, monkeypatch):
     assert calls == [(op, *key) for key in keys for op in ("load", "store")]
     # a rectangle or set with no construction is refused without the cache
     del calls[:]
-    for refused in (lambda: classical_rectangle(9, 7, cache=cache, budget=1_000),
-                    lambda: magic_rectangle_set(7, 9, 3, cache=cache, budget=1_000)):
+    for refused in (lambda: classical_rectangle(11, 7, cache=cache, budget=1_000),
+                    lambda: magic_rectangle_set(7, 11, 3, cache=cache, budget=1_000)):
         with pytest.raises(SearchBudgetExceeded):
             refused()
     assert calls == []
@@ -752,15 +757,15 @@ def test_a_square_search_runs_dry_once_per_cache(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fetch", [
-    lambda cache: classical_rectangle(7, 9, cache=cache),
-    lambda cache: classical_rectangle(9, 7, cache=cache),
-    lambda cache: magic_rectangle_set(7, 9, 3, cache=cache),
-    lambda cache: realize(7, 9, 9, 7, cache=cache),
-], ids=["mr_7_9", "mr_9_7", "mrs_7_9_3", "realize_7_9_9_7"])
+    lambda cache: classical_rectangle(7, 11, cache=cache),
+    lambda cache: classical_rectangle(11, 7, cache=cache),
+    lambda cache: magic_rectangle_set(7, 11, 3, cache=cache),
+    lambda cache: realize(7, 11, 11, 7, cache=cache),
+], ids=["mr_7_11", "mr_11_7", "mrs_7_11_3", "realize_7_11_11_7"])
 @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
 def test_odd_coprime_rectangles_are_refused_unsearched(tmp_path, monkeypatch, fetch, cached):
-    # both sides odd, coprime and at least 7: no closed form, and no
-    # search at the default budget; the refusal is inconclusive and
+    # both sides odd, coprime, at least 7 and prime to 15: no closed form,
+    # and no search at the default budget; the refusal is inconclusive and
     # touches neither the kernel nor the cache
     calls = _counting_kernel(monkeypatch)
     for name in ("load", "store"):
@@ -770,9 +775,9 @@ def test_odd_coprime_rectangles_are_refused_unsearched(tmp_path, monkeypatch, fe
         fetch(IngredientCache(path) if cached else None)
     assert info.value.nodes == 0
     label = info.value.ingredient
-    assert label in ("MR(7,9)", "MR(9,7)")
+    assert label in ("MR(7,11)", "MR(11,7)")
     assert str(info.value) == (f"{label}: no construction for odd coprime sides "
-                               "both >= 7; nothing was searched")
+                               "both >= 7 and prime to 15; nothing was searched")
     assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
     assert calls == []
     assert not path.exists()

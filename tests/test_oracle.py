@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from holeymagic import HoleyGrid, MagicSpec, ShapeError, serialize, verify
-from holeymagic.oracle import EnumerationResult, _run, enumerate as brute_enumerate, exists_brute
+from holeymagic.oracle import (DEFAULT_NODE_BUDGET, EnumerationResult, _run,
+                               enumerate as brute_enumerate, exists_brute)
 
 import support
 
@@ -92,7 +93,7 @@ def test_witnesses_are_canonical(shape):
     """Every kept witness is the canonical grid of its orbit, and each orbit
     adds m!*n! to the count."""
     m, n = shape[:2]
-    result = brute_enumerate(*shape, witness_cap=10 ** 6, allow_large=True)
+    result = brute_enumerate(*shape, witness_cap=10 ** 6)
     assert result.exhausted
     assert result.count == len(result.witnesses) * math.factorial(m) * math.factorial(n)
     assert len(set(result.witnesses)) == len(result.witnesses)
@@ -106,10 +107,10 @@ def test_witnesses_are_canonical(shape):
     ((4, 8, 4, 2), 100_638_720),
     ((10, 2, 2, 10), 72_576_000),
 ], ids=["8_4_2_4", "4_8_4_2", "10_2_2_10"])
-def test_full_counts_past_the_value_limit(shape, count):
-    # a walk over every grid runs out of the default 10**9 nodes on
-    # (10,2,2,10)
-    result = brute_enumerate(*shape, witness_cap=0, allow_large=True)
+def test_full_counts_of_wide_and_tall_shapes(shape, count):
+    # one grid per orbit exhausts within the default 10**7 nodes, where a
+    # walk over every grid runs out of even 10**9 on (10,2,2,10)
+    result = brute_enumerate(*shape, witness_cap=0)
     assert result == EnumerationResult(count, (), True)
 
 
@@ -149,12 +150,16 @@ def test_non_int_cap_and_budget_raise_value_error(call, kwargs):
         call(2, 4, 4, 2, **kwargs)
 
 
-def test_large_gate():
-    with pytest.raises(ValueError):
-        brute_enumerate(4, 4, 4, 4)
-    # explicit opt-in runs, and a tiny budget reports honestly
-    result = brute_enumerate(4, 4, 4, 4, node_budget=100, allow_large=True)
-    assert not result.exhausted
+def test_default_budget_exhausts_every_shape_up_to_19_values():
+    # the node budget is the only bound; the slowest of these is (4,4,4,4)
+    for shape in support.all_well_shaped(19):
+        assert brute_enumerate(*shape, witness_cap=0).exhausted, shape
+
+
+def test_allow_large_is_ignored():
+    for budget in (100, DEFAULT_NODE_BUDGET):
+        assert (brute_enumerate(3, 5, 5, 3, node_budget=budget, allow_large=True)
+                == brute_enumerate(3, 5, 5, 3, node_budget=budget))
 
 
 def test_budget_never_raises():
@@ -321,7 +326,6 @@ def test_deep_walk_does_not_recurse():
     # Row 0 opens with 1204 Empty cells, so the walk passes 1205 cells deep,
     # beyond the interpreter's default recursion limit of 1000.
     limit = sys.getrecursionlimit()
-    result = brute_enumerate(5, 1505, 301, 1, witness_cap=1, node_budget=2000,
-                             allow_large=True)
+    result = brute_enumerate(5, 1505, 301, 1, witness_cap=1, node_budget=2000)
     assert (result.count, result.exhausted) == (0, False)
     assert sys.getrecursionlimit() == limit
