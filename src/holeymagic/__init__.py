@@ -33,8 +33,6 @@ from .grid import (
     MagicSpec,
     VerificationReport,
     Violation,
-    diagonal_support,
-    is_consecutive_cyclic,
     parse,
     serialize,
     verify,
@@ -76,10 +74,8 @@ __all__ = [
     "block_set",
     "classical_rectangle",
     "decide",
-    "diagonal_support",
     "exists_brute",
     "five_case",
-    "is_consecutive_cyclic",
     "kotzig",
     "magic_rectangle_set",
     "magic_square_holes",

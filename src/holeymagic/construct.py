@@ -29,21 +29,12 @@ class NmssResult:
     constant: int
 
 
-def _canonical_labels(support: frozenset, m: int) -> List[int]:
-    """Diagonal index for each label 0..s-1, walking down from the top of
-    the consecutive run that require_ms checked (so label i sits on
-    diagonal run_start+s-1-i; a full run starts at 0)."""
-    s = len(support)
-    start = 0 if s == m else next(d for d in support if (d - 1) % m not in support)
-    return [(start + s - 1 - i) % m for i in range(s)]
-
-
 def _stacked_squares(m: int, k: int, s: int, square: HoleyGrid) -> List[Cells]:
     """The cells of the k subsquares of the stacked construction: copies
     of the ingredient lifted through a Kotzig array, its diagonals as
-    classes."""
-    support = require_ms(square, m, s)
-    label_of = {d: i for i, d in enumerate(_canonical_labels(support, m))}
+    classes, label i on the i-th support diagonal down from the top of
+    the run."""
+    label_of = {d: i for i, d in enumerate(require_ms(square, m, s))}
     return lift(square, lambda i, j: label_of[(j - i) % m], kotzig(s, k))
 
 
@@ -218,7 +209,8 @@ BUILDS = {
 }
 
 
-def realize(m: int, n: int, r: int, s: int, *, cache=None, budget=None) -> HoleyGrid:
+def realize(m: int, n: int, r: int, s: int, *, cache=None,
+            budget: int = ingredients.DEFAULT_BUDGET) -> HoleyGrid:
     """Build a witness for an Exists verdict of decide(m, n, r, s).
 
     Raises NotConstructible when the verdict is NotExists or Unknown, and
@@ -227,6 +219,5 @@ def realize(m: int, n: int, r: int, s: int, *, cache=None, budget=None) -> Holey
     decision = existence.decide(m, n, r, s)
     if decision.verdict != "exists":
         raise NotConstructible(f"decide({m},{n},{r},{s}) is {decision.verdict}")
-    kw = {"cache": cache} if budget is None else {"cache": cache, "budget": budget}
     params = existence.ROUTES[decision.route](m, n, r, s)
-    return BUILDS[decision.route](*params, **kw)
+    return BUILDS[decision.route](*params, cache=cache, budget=budget)

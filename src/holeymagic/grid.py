@@ -1,4 +1,4 @@
-"""Holey grids, magic verification, diagonal analysis and MRX text I/O.
+"""Holey grids, magic verification and MRX text I/O.
 
 A holey grid is an m x n array whose cells are either empty or hold a
 nonnegative integer.  Every other module produces or consumes these.
@@ -165,29 +165,6 @@ def verify(grid: HoleyGrid, spec: MagicSpec) -> VerificationReport:
     row_constant = row_sums[0] if len(set(row_sums)) == 1 else None
     col_constant = col_sums[0] if len(set(col_sums)) == 1 else None
     return VerificationReport(not failures, row_constant, col_constant, tuple(failures))
-
-
-def diagonal_support(grid: HoleyGrid) -> frozenset:
-    """Diagonal indices (j-i) mod n carrying at least one filled cell.
-
-    Only defined for square grids; diagonals are broken (they wrap around
-    the right edge).
-    """
-    if grid.rows != grid.cols:
-        raise ShapeError(f"diagonals need a square grid, got {grid.rows}x{grid.cols}")
-    n = grid.cols
-    return frozenset((j - i) % n for i, j, _ in grid.filled())
-
-
-def is_consecutive_cyclic(diagonals, modulus: int) -> bool:
-    """True iff the index set is one cyclically consecutive run."""
-    k = len(diagonals)
-    if k == 0 or k > modulus:
-        return False
-    if k == modulus:
-        return True
-    starts = sum(1 for d in diagonals if (d - 1) % modulus not in diagonals)
-    return starts == 1
 
 
 def above(blocks) -> HoleyGrid:

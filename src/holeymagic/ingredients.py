@@ -48,8 +48,6 @@ from .grid import (
     above,
     beside,
     MagicSpec,
-    diagonal_support,
-    is_consecutive_cyclic,
     parse,
     serialize,
     verify,
@@ -125,7 +123,16 @@ def profile_satisfied(grid: HoleyGrid, profile: DiagonalProfile) -> bool:
         vals = diags[d]
         if len(vals) != block or max(vals) - min(vals) != block - 1:
             return False
-    return is_consecutive_cyclic(set(members), n)
+    return _run_top(set(members), n) is not None
+
+
+def _run_top(diagonals, m: int) -> Optional[int]:
+    """The last diagonal of the one cyclic run that the diagonals mod m
+    form (m - 1 when all m are there), or None when they form no one run."""
+    if len(diagonals) == m:
+        return m - 1
+    tops = [d for d in diagonals if (d + 1) % m not in diagonals]
+    return tops[0] if len(tops) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +149,18 @@ def require_magic(grid: HoleyGrid, spec: MagicSpec, what: str) -> None:
         raise BadIngredient(f"{what} fails verification for {spec}: {tags}")
 
 
-def require_ms(square: HoleyGrid, m: int, s: int) -> frozenset:
-    """Validate an s-diagonal MS(m;s) ingredient; return its support."""
+def require_ms(square: HoleyGrid, m: int, s: int) -> List[int]:
+    """Validate an s-diagonal MS(m;s) ingredient: its filled cells lie on s
+    cyclically consecutive broken diagonals (j - i) mod m.  Returns those
+    diagonals from the top of the run down, so label i is at index i."""
     require_magic(square, MagicSpec(m, m, s, s), f"MS({m};{s}) ingredient")
-    support = diagonal_support(square)
-    if len(support) != s or not is_consecutive_cyclic(support, m):
+    support = {(j - i) % m for i, j, _ in square.filled()}
+    top = _run_top(support, m)
+    if len(support) != s or top is None:
         raise BadIngredient(
             f"MS({m};{s}) ingredient is not {s}-diagonal: support {sorted(support)}"
         )
-    return support
+    return [(top - i) % m for i in range(s)]
 
 
 def _mrs_gate(a: int, b: int, c: int) -> None:
@@ -337,17 +347,6 @@ class _Budget:
         self.label = label
 
 
-def _staircase(m, s):
-    """Cells (i, j) of an m x m square with j - i >= m - s or 1 <= i - j <=
-    s, the diagonals m-s..m-1, in the fill order that completes row 0,
-    column 0, row 1, column 1, ... so both line constraints bind early."""
-    cells = []
-    for t in range(m):
-        cells += [(t, j) for j in range(t + m - s, m)]
-        cells += [(i, t) for i in range(t + 1, min(t + s + 1, m))]
-    return cells
-
-
 def _search_assignment(cell_domain, lines, domains, budget):
     """First exact assignment of distinct values to cells, or None.
 
@@ -482,53 +481,6 @@ def _search_assignment(cell_domain, lines, domains, budget):
 # ---------------------------------------------------------------------------
 # holey magic squares
 
-def _square_problem(m, s):
-    """Cells of the canonical support {m-s..m-1} in staircase order and
-    the 2m lines, rows then columns, of an MS(m;s) search."""
-    cells = _staircase(m, s)
-    target = s * (m * s - 1) // 2
-    lines = [(target, []) for _ in range(2 * m)]
-    for idx, (i, j) in enumerate(cells):
-        lines[i][1].append(idx)
-        lines[m + j][1].append(idx)
-    return cells, lines
-
-
-def _ms_anchored(m, s, q, problem, budget):
-    """Search MS(m;s), on the cells and lines of _square_problem(m, s),
-    with its lowest qm values on q <= s consecutive diagonals of the
-    canonical support {m-s..m-1}, the b-th holding bm..bm+m-1, trying
-    every anchor in order; the rest of the support shares the other
-    values (q = 0: all of them).  Returns None when every anchor's space
-    is exhausted.
-    """
-    cells, lines = problem
-    support = list(range(m - s, m))
-    if q == 0:
-        anchors = range(1)  # no blocks to place, every anchor is the same
-    elif s == m:
-        anchors = range(s)  # full support wraps, so the blocks may too
-    else:
-        anchors = range(s - q + 1)
-
-    domains = [tuple(range(b * m, (b + 1) * m)) for b in range(q)]
-    if q < s:
-        domains.append(tuple(range(q * m, m * s)))
-    for anchor in anchors:
-        dom_of_diag = {support[(anchor + b) % s]: b for b in range(q)}
-        for d in support:
-            dom_of_diag.setdefault(d, q)
-
-        cell_domain = [dom_of_diag[(j - i) % m] for i, j in cells]
-        got = _search_assignment(cell_domain, lines, domains, budget)
-        if got is not None:
-            grid = [[None] * m for _ in range(m)]
-            for (i, j), v in zip(cells, got):
-                grid[i][j] = v
-            return HoleyGrid.from_rows(grid)
-    return None
-
-
 def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None,
                        *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
     """An s-diagonal MS(m;s), optionally matching a diagonal profile.
@@ -559,24 +511,51 @@ def _square_label(m, s, profile):
 
 
 def _search_square(m, s, profile, budget):
-    """Search MS(m;s) with the profile's q blocks anchored, or layered when
-    there is no profile: s blocks, then s - 2, then none."""
-    b = _Budget(budget, _square_label(m, s, profile))
-    problem = _square_problem(m, s)
-    if profile is not None:
+    """Search MS(m;s) on the support {m-s..m-1} with its lowest qm values
+    on q consecutive support diagonals, the b-th holding bm..bm+m-1, and
+    the rest of the support sharing the other values.  q is the profile's
+    run, or with no profile s, then s - 2, then 0.  Each q tries every
+    anchor of its blocks in order, under one budget.  Cells are filled row
+    0, column 0, row 1, column 1, ... so both line constraints bind early.
+    """
+    if profile is None:
+        counts = (s, s - 2, 0)  # s < m here: the full square has a closed form
+    else:
         ((q, _, hi),) = profile.required_runs
-        grid = _ms_anchored(m, s, q, problem, b) if q <= s and hi + 1 == q * m else None
-        if grid is None:
+        if q > s or hi + 1 != q * m:
             raise NotConstructible(
-                f"no MS({m};{s}) with diagonal profile {profile.tag()} "
-                "(anchored block search exhausted)"
-            )
-        return grid
-    # s < m here: the full square has a closed form
-    for q in (s, s - 2, 0):
-        grid = _ms_anchored(m, s, q, problem, b)
-        if grid is not None:
-            return grid
+                f"no MS({m};{s}) with diagonal profile {profile.tag()}: "
+                + (f"the run needs {q} diagonals and there are {s}" if q > s
+                   else f"the run holds {q} x {m} = {q * m} values, not {hi + 1}"))
+        counts = (q,)
+    b = _Budget(budget, _square_label(m, s, profile))
+    cells = []
+    for t in range(m):
+        cells += [(t, j) for j in range(t + m - s, m)]
+        cells += [(i, t) for i in range(t + 1, min(t + s + 1, m))]
+    target = s * (m * s - 1) // 2
+    lines = [(target, []) for _ in range(2 * m)]
+    for idx, (i, j) in enumerate(cells):
+        lines[i][1].append(idx)
+        lines[m + j][1].append(idx)
+    for q in counts:
+        domains = [tuple(range(k * m, (k + 1) * m)) for k in range(q)]
+        if q < s:
+            domains.append(tuple(range(q * m, m * s)))
+        # no blocks: one anchor; a full support wraps, so its blocks may too
+        anchors = 1 if q == 0 else s if s == m else s - q + 1
+        for anchor in range(anchors):
+            block_of = {m - s + (anchor + k) % s: k for k in range(q)}
+            cell_domain = [block_of.get((j - i) % m, q) for i, j in cells]
+            got = _search_assignment(cell_domain, lines, domains, b)
+            if got is not None:
+                grid = [[None] * m for _ in range(m)]
+                for (i, j), v in zip(cells, got):
+                    grid[i][j] = v
+                return HoleyGrid.from_rows(grid)
+    if profile is not None:
+        raise NotConstructible(f"no MS({m};{s}) with diagonal profile {profile.tag()} "
+                               "(anchored block search exhausted)")
     raise NotConstructible(f"search exhausted without finding MS({m};{s})")
 
 

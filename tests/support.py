@@ -1,5 +1,6 @@
 """Shared test helpers: the well-shaped (m, n, r, s) tuples, a
-from-scratch magic checker, grid mutators and the reference search kernels.
+from-scratch magic checker, a diagonal-run reader, grid mutators and the
+reference search kernels.
 
 naive_check deliberately reimplements the magic axioms with plain loops
 and doubled integer sums so it shares nothing with the library verifier;
@@ -81,6 +82,17 @@ def naive_check(grid: HoleyGrid, m: int, n: int, r: int, s: int) -> bool:
         if 2 * sum(vals) != s * (total - 1):
             return False
     return sorted(seen) == list(range(total))
+
+
+def diagonal_run(grid: HoleyGrid):
+    """The broken diagonals (j - i) mod n that carry a filled cell of a
+    square grid, as one cyclic run listed from its first diagonal, or None
+    when they form no one run.  Tries every start, sharing nothing with
+    the library's run reader."""
+    n = grid.rows
+    filled = {(j - i) % n for i in range(n) for j in range(n) if grid.cells[i][j] is not None}
+    runs = ([(d + k) % n for k in range(len(filled))] for d in sorted(filled))
+    return next((run for run in runs if set(run) == filled), None)
 
 
 def random_grid(rng: random.Random) -> HoleyGrid:

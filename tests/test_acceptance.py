@@ -16,8 +16,6 @@ from holeymagic import (
     SearchBudgetExceeded,
     base_triple,
     decide,
-    diagonal_support,
-    is_consecutive_cyclic,
     kotzig,
     nmss,
     parse,
@@ -108,8 +106,8 @@ def test_criterion_3_square_sets():
         assert result.constant == s * (m * s * t - 1) // 2
         values = []
         for sq in result.squares:
-            sup = diagonal_support(sq)
-            assert len(sup) == s and is_consecutive_cyclic(sup, m)
+            run = support.diagonal_run(sq)
+            assert run is not None and len(run) == s
             for i in range(m):
                 row = [v for v in sq.cells[i] if v is not None]
                 col = [sq.cells[p][i] for p in range(m) if sq.cells[p][i] is not None]

@@ -7,7 +7,6 @@ from holeymagic import (
     NotConstructible,
     block_set,
     decide,
-    diagonal_support,
     five_case,
     nmss,
     parse,
@@ -24,7 +23,7 @@ from holeymagic.kotzig import kotzig, lift
 from holeymagic.ingredients import classical_rectangle, magic_rectangle_set
 
 import golden
-from support import naive_check
+from support import diagonal_run, naive_check
 
 
 def hstack(grids):
@@ -120,8 +119,7 @@ def test_nmss_invariants():
     result = nmss(5, 3, 3, square)
     values = []
     for sq in result.squares:
-        support = diagonal_support(sq)
-        assert support == diagonal_support(square)
+        assert diagonal_run(sq) == diagonal_run(square) == [2, 3, 4]
         for i in range(5):
             row = [v for v in sq.cells[i] if v is not None]
             col = [sq.cells[p][i] for p in range(5) if sq.cells[p][i] is not None]

@@ -11,8 +11,6 @@ from holeymagic import (
     MagicSpec,
     ParseError,
     ShapeError,
-    diagonal_support,
-    is_consecutive_cyclic,
     parse,
     serialize,
     verify,
@@ -139,21 +137,6 @@ def test_verify_fill_counts():
 def test_verify_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         verify(HoleyGrid.from_rows([[0]]), MagicSpec(2, 2, 2, 2))
-
-
-def test_diagonal_support():
-    g = parse(golden.SQUARE_5_3)
-    assert diagonal_support(g) == {2, 3, 4}
-    assert is_consecutive_cyclic({2, 3, 4}, 5)
-    with pytest.raises(ShapeError):
-        diagonal_support(parse(golden.TWO_PER_COLUMN_3_2))
-
-
-def test_cyclic_runs_wrap():
-    assert is_consecutive_cyclic({4, 0, 1}, 5)
-    assert not is_consecutive_cyclic({0, 2}, 5)
-    assert not is_consecutive_cyclic(set(), 5)
-    assert is_consecutive_cyclic({0, 1, 2, 3, 4}, 5)
 
 
 def test_beside_many_grids_concatenates_rows():

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from holeymagic import (
+    BadIngredient,
     CorruptCache,
     DiagonalProfile,
     HoleyGrid,
@@ -17,8 +18,6 @@ from holeymagic import (
     MagicSpec,
     NotConstructible,
     SearchBudgetExceeded,
-    diagonal_support,
-    is_consecutive_cyclic,
     parse,
     realize,
     serialize,
@@ -27,6 +26,7 @@ from holeymagic import (
 from holeymagic import existence, ingredients
 from holeymagic.construct import block_set
 from holeymagic.ingredients import (
+    _run_top,
     _search_square,
     classical_rectangle,
     magic_rectangle_set,
@@ -82,8 +82,22 @@ def test_searched_square_properties():
     for m, s in [(3, 3), (5, 4), (7, 3), (6, 6)]:
         g = magic_square_holes(m, s)
         assert verify(g, MagicSpec(m, m, s, s)).ok
-        sup = diagonal_support(g)
-        assert len(sup) == s and is_consecutive_cyclic(sup, m)
+        run = support.diagonal_run(g)
+        assert run is not None and len(run) == s
+        assert require_ms(g, m, s) == run[::-1]
+
+
+def test_require_ms_labels_from_the_top_of_the_run():
+    assert require_ms(parse(golden.SQUARE_5_3), 5, 3) == [4, 3, 2]
+    with pytest.raises(BadIngredient, match="ingredient"):
+        require_ms(parse(golden.TWO_PER_COLUMN_3_2), 3, 2)  # not square
+
+
+def test_run_top_wraps():
+    assert _run_top({4, 0, 1}, 5) == 1
+    assert _run_top({0, 2}, 5) is None
+    assert _run_top(set(), 5) is None
+    assert _run_top({0, 1, 2, 3, 4}, 5) == 4
 
 
 def test_search_is_deterministic():
@@ -97,6 +111,21 @@ def test_profile_search():
     g = magic_square_holes(8, 4, profile)
     assert verify(g, MagicSpec(8, 8, 4, 4)).ok
     assert profile_satisfied(g, profile)
+
+
+@pytest.mark.parametrize("m, s, run, reason", [
+    (4, 4, (5, 0, 19), "the run needs 5 diagonals and there are 4"),
+    (7, 3, (4, 0, 27), "the run needs 4 diagonals and there are 3"),
+    (7, 3, (1, 0, 4), "the run holds 1 x 7 = 7 values, not 5"),
+], ids=["5_0_19_on_4_4", "4_0_27_on_7_3", "1_0_4_on_7_3"])
+def test_unfit_profile_is_refused_unsearched(monkeypatch, m, s, run, reason):
+    # every diagonal of an s-diagonal square holds m values, so a run of q
+    # diagonals holds exactly qm of them and q can be at most s
+    calls = _counting_kernel(monkeypatch)
+    with pytest.raises(NotConstructible) as info:
+        magic_square_holes(m, s, DiagonalProfile((run,)))
+    assert str(info.value).endswith(reason)
+    assert calls == []
 
 
 def test_tiny_budget_raises():
