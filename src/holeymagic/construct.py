@@ -44,10 +44,6 @@ def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
     _stacked_gate(m, k, s)
     if s == 2:
         return two_per_column(m, k)
-    if k == 1:
-        require_ms(square, m, s)
-        return square
-
     return beside(_stacked_squares(m, k, s, square))
 
 
@@ -70,12 +66,7 @@ def product(square: HoleyGrid, rect: HoleyGrid) -> HoleyGrid:
     if square.rows != square.cols:
         raise BadIngredient(f"first ingredient must be square, got {square.rows}x{square.cols}")
     m = square.rows
-    filled = sum(m - row.count(None) for row in square.cells)
-    if filled % m != 0:
-        raise BadIngredient("first ingredient has ragged fill counts")
-    s = filled // m
-    if s < 1:
-        raise BadIngredient("first ingredient is empty")
+    s = m - square.cells[0].count(None)  # require_magic checks every other line
     require_magic(square, MagicSpec(m, m, s, s), f"MS({m};{s}) ingredient")
     a, b = rect.rows, rect.cols
     require_magic(rect, MagicSpec(a, b, b, a), f"MR({a},{b}) ingredient")

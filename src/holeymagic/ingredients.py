@@ -4,13 +4,14 @@ classical full magic rectangles and magic rectangle sets MRS(a,b;c).
 Resolution order is always the existence gate, then the catalog or a
 closed form, returned without touching the cache, then the cache, then
 deterministic backtracking search; only a searched square is stored
-when a cache is given.  Closed forms lift a small base through Kotzig
-arrays (kotzig.lift): full MR(a,b) with even sides or with gcd(a,b) >= 3,
-and the full squares MS(m;m); odd coprime MR(a,b) with a short side of 3
-or 5 are signed magic arrays shifted up, and those with a side divisible
-by 3 or 5 lift one of them.  Every MRS(a,b;c) is c copies of MR(a,b)
-lifted through one more Kotzig array.  The other odd coprime rectangles,
-and the sets over them, are never searched: they raise
+when a cache is given.  Closed forms: even MR(a,b) lift MR(2,b) through
+a Kotzig array (kotzig.lift), odd MR(a,a) is the Siamese square, odd
+coprime MR(a,b) with a short side of 3 or 5 are signed magic arrays
+shifted up, and every other odd MR(a,b) lifts MR(a,p) or MR(p,b) for the
+first p in (gcd(a,b), 3, 5) with 1 < p that properly divides b or a.
+The full square MS(m;m) is MR(m,m).  Every MRS(a,b;c) is c copies of
+MR(a,b) lifted through one more Kotzig array.  The odd rectangles no p
+fits, and the sets over them, are never searched: they raise
 SearchBudgetExceeded with 0 nodes at once.  Thin squares (s < m) and
 profiled squares the closed form misses are searched, and
 the cache holds only those (`mr` entries of older versions still load).
@@ -229,40 +230,37 @@ def _closed_rectangle(a: int, b: int) -> Optional[HoleyGrid]:
     both sides are odd, coprime, at least 7 and prime to 15.
 
     Even sides stack a/2 copies of MR(2,b) (its columns as classes; b = 2
-    transposes MR(2,a)).  Odd sides with g = gcd(a,b) >= 3 stack a/g
-    copies of the Siamese MR(g,g), then set b/g copies of that MR(a,g)
-    side by side (its rows as classes); MR(1,1) lifts the Siamese MR(1,1).
-    Odd coprime sides with a short side of 3 or 5 are a signed array, its
-    short side as the rows, shifted up by h = (ab-1)/2: an MR(a,b) with ab
-    odd, less h, holds -h..h and every line sums to 0 (Khodkar, Schulz and
-    Wagner, "Existence of some signed magic arrays", Discrete Math. 340,
-    2017).  MR(5,7) is a catalog entry.  Other odd coprime sides set b/p
-    MR(a,p) side by side (rows as classes), or stack a/p MR(p,b) (columns
-    as classes), for p = 3 or 5 dividing b or a.
+    transposes MR(2,a)).  Odd a = b is the Siamese square.  Odd coprime
+    sides with a short side of 3 or 5 are a signed array, its short side
+    as the rows, shifted up by h = (ab-1)/2: an MR(a,b) with ab odd, less
+    h, holds -h..h and every line sums to 0 (Khodkar, Schulz and Wagner,
+    "Existence of some signed magic arrays", Discrete Math. 340, 2017).
+    MR(5,7) is a catalog entry.  Every other odd pair lifts a smaller
+    rectangle by the first p in (gcd(a,b), 3, 5) with 1 < p that properly
+    divides b or a: b/p MR(a,p) side by side (rows as classes) when p
+    divides b, else a/p MR(p,b) stacked (columns as classes).
     """
     if a % 2 == 0:
         if b == 2:
             return HoleyGrid.from_rows(zip(*_closed_rectangle(2, a).cells))
         return above(lift(two_per_column(2, b // 2), lambda i, j: j, kotzig(b, a // 2)))
-    g = math.gcd(a, b)
-    if g > 1 or a == 1:
-        tall = above(lift(_siamese(g), lambda i, j: j, kotzig(g, a // g)))
-        return beside(lift(tall, lambda i, j: i, kotzig(a, b // g)))
-    short, n = min(a, b), max(a, b)
-    if (short, n) == (5, 7):
-        rows = _CATALOG_MR_5_7
-    elif short in (3, 5):
-        signed = _signed_rows3(n) if short == 3 else _signed_rows5(n)
-        h = (a * b - 1) // 2
-        rows = [[h + v for v in row] for row in signed]
-    else:
-        for p in (3, 5):
-            if b % p == 0:
-                return beside(lift(_closed_rectangle(a, p), lambda i, j: i, kotzig(a, b // p)))
-            if a % p == 0:
-                return above(lift(_closed_rectangle(p, b), lambda i, j: j, kotzig(b, a // p)))
-        return None
-    return HoleyGrid.from_rows(zip(*rows) if a > b else rows)
+    if a == b:
+        return _siamese(a)
+    g, short, n = math.gcd(a, b), min(a, b), max(a, b)
+    if g == 1 and short in (3, 5):
+        if (short, n) == (5, 7):
+            rows = _CATALOG_MR_5_7
+        else:
+            h = (a * b - 1) // 2
+            signed = _signed_rows3(n) if short == 3 else _signed_rows5(n)
+            rows = [[h + v for v in row] for row in signed]
+        return HoleyGrid.from_rows(zip(*rows) if a > b else rows)
+    for p in (g, 3, 5):
+        if 1 < p < b and b % p == 0:
+            return beside(lift(_closed_rectangle(a, p), lambda i, j: i, kotzig(a, b // p)))
+        if 1 < p < a and a % p == 0:
+            return above(lift(_closed_rectangle(p, b), lambda i, j: j, kotzig(b, a // p)))
+    return None
 
 
 # MR(5,7), from a band form: _signed_rows5 needs n >= 9.
@@ -318,14 +316,11 @@ def _signed_rows3(n: int) -> List[List[int]]:
 
 def _signed_rows5(n: int) -> List[List[int]]:
     """5 x n array on -(5k+2)..5k+2, k = (n-1)/2, whose lines sum to 0;
-    n odd, at least 9 and prime to 5: a signed 3 x n array on
-    -(3k+1)..3k+1 over a row y and a row -y, where y signs 3k+2..5k+2 so
-    that the + ones, the fewest that can, sum to n^2."""
+    n odd, at least 9 and prime to 5: MR(3,n) shifted down by 3k+1 (for n
+    prime to 3, _signed_rows3(n)) over a row y and a row -y, where y signs
+    3k+2..5k+2 so that the + ones, the fewest that can, sum to n^2."""
     k = (n - 1) // 2
-    if n % 3:
-        rows = _signed_rows3(n)
-    else:
-        rows = [[v - 3 * k - 1 for v in row] for row in _closed_rectangle(3, n).cells]
+    rows = [[v - 3 * k - 1 for v in row] for row in _closed_rectangle(3, n).cells]
     low = 3 * k + 2
     plus = next(set(p) for c in range(n + 1)
                 if (p := _distinct_sum(c, 0, n - 1, n * n - c * low)) is not None)
@@ -448,9 +443,7 @@ def _search_assignment(cell_domain, lines, domains, budget):
         if at < upto:
             spent = at - pos + 1
         else:
-            spent = end[idx] - pos
-            if spent < 0:
-                spent = 0
+            spent = end[idx] - pos  # pos <= stop[idx] <= end[idx]
         if spent > left:
             budget.left = -1
             raise SearchBudgetExceeded(budget.label, budget.total + 1)
@@ -489,6 +482,11 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
     catalog, the closed-form full square when s = m and it meets the
     profile, then cache and search: anchored on the profile's run, or
     layered (all diagonals as value blocks, then all but two, then free).
+    This is the only code that touches the cache (an IngredientCache or a
+    path, or None for none): a hit is returned, a found square stored.  A
+    miss whose search the same IngredientCache ran dry at this budget or a
+    larger one raises at once, as the search would: a budget only cuts
+    one deterministic walk short.
     """
     existence.require_positive_ints("m and s", m, s)
     if not existence.ms_exists(m, s):
@@ -502,8 +500,23 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         grid = _closed_rectangle(m, m) if s == m else None
     if grid is not None and (profile is None or profile_satisfied(grid, profile)):
         return grid
-    return _searched("ms", (m, s), profile, cache, budget, _square_label(m, s, profile),
-                     lambda: _search_square(m, s, profile, budget))
+    if cache is None:
+        return _search_square(m, s, profile, budget)
+    if not isinstance(cache, IngredientCache):
+        cache = IngredientCache(cache)
+    grid = cache.load("ms", (m, s), profile)
+    if grid is not None:
+        return grid
+    key = _cache_key("ms", (m, s), profile)
+    if cache._dry.get(key, -1) >= budget:
+        raise SearchBudgetExceeded(_square_label(m, s, profile), int(budget) + 1)
+    try:
+        grid = _search_square(m, s, profile, budget)
+    except SearchBudgetExceeded:
+        cache._dry[key] = budget
+        raise
+    cache.store("ms", (m, s), grid, profile)
+    return grid
 
 
 def _square_label(m, s, profile):
@@ -628,33 +641,6 @@ def magic_rectangle_set(a: int, b: int, c: int, *, cache=None,
 # ---------------------------------------------------------------------------
 # persistent cache
 
-def _searched(kind, params, profile, cache, budget, label, search) -> HoleyGrid:
-    """The grid of a searched ingredient: the cache's entry when `cache`
-    (an IngredientCache or a path, or None for no cache) holds the key,
-    else search(), stored in the cache.  The only code that touches the
-    cache; catalog and closed-form ingredients never reach it.  A miss
-    whose search the same IngredientCache ran dry at this budget or a
-    larger one raises at once, as the search would: a budget only cuts one
-    deterministic walk short."""
-    if cache is None:
-        return search()
-    if not isinstance(cache, IngredientCache):
-        cache = IngredientCache(cache)
-    grid = cache.load(kind, params, profile)
-    if grid is not None:
-        return grid
-    key = _cache_key(kind, params, profile)
-    if cache._dry.get(key, -1) >= budget:
-        raise SearchBudgetExceeded(label, int(budget) + 1)
-    try:
-        grid = search()
-    except SearchBudgetExceeded:
-        cache._dry[key] = budget
-        raise
-    cache.store(kind, params, grid, profile)
-    return grid
-
-
 def _cache_key(kind: str, params: Sequence[int], profile: Optional[DiagonalProfile]) -> str:
     """The KEY line's text; ValueError for a key the reader would refuse
     or read back as another, which would poison the whole file."""
@@ -701,8 +687,9 @@ class IngredientCache:
     entry under a key wins, and no byte (old multi-grid `mrs` entries
     too) is rewritten.  A path that is not a regular file raises
     CacheError unopened.  Every load and store reads the file afresh.
-    Budget failures are remembered per instance (_searched), never in
-    the file: unlike a grid, a failure cannot be re-verified on load.
+    Budget failures are remembered per instance (magic_square_holes),
+    never in the file: unlike a grid, a failure cannot be re-verified on
+    load.
     """
 
     def __init__(self, path):

@@ -49,22 +49,19 @@ def kotzig(s: int, k: int) -> KotzigArray:
     """Canonical s x k Kotzig array.
 
     Even s stacks s/2 copies of base_pair(k).  Odd s needs odd k and puts
-    one base_triple(k) on top of (s-3)/2 copies of base_pair(k).  A single
-    row only works over a single symbol, and a single column only with the
-    all-zero array for odd s.
+    one base_triple(k) on top of (s-3)/2 copies of base_pair(k); s = 1
+    takes the triple's first row.  A single row only works over a single
+    symbol, and a single column is all zeros.
     """
     require_positive_ints("s and k", s, k)
     if s % 2 == 1 and k % 2 == 0:
         raise ParityError(f"no Kotzig array for odd s={s} and even k={k}")
-    if s % 2 == 1 and k == 1:
-        # permutations of a single symbol; column sum 0 = (k-1)s/2
-        return KotzigArray(s, 1, ((0,),) * s)
-    if s == 1:
+    if s == 1 and k > 1:
         # a lone permutation row cannot have constant column sums for k > 1
         raise ParityError(f"no 1x{k} Kotzig array exists for k > 1")
     rows = []
     if s % 2 == 1:
-        rows.extend(base_triple(k).entries)
+        rows.extend(base_triple(k).entries[:s])
     pair = base_pair(k).entries
     while len(rows) < s:
         rows.extend(pair)

@@ -118,6 +118,15 @@ def random_grid(rng: random.Random) -> HoleyGrid:
     return HoleyGrid(rows, cols, tuple(cells))
 
 
+def swap_columns(grid: HoleyGrid, p: int, q: int) -> HoleyGrid:
+    """A copy of grid with columns p and q swapped: line sums and fill
+    counts stay, the diagonals the filled cells lie on need not."""
+    cells = [list(row) for row in grid.cells]
+    for row in cells:
+        row[p], row[q] = row[q], row[p]
+    return HoleyGrid.from_rows(cells)
+
+
 def mutate(grid: HoleyGrid, rng: random.Random) -> HoleyGrid:
     """Return a copy of grid with one random local edit.
 

@@ -23,7 +23,7 @@ from holeymagic.kotzig import kotzig, lift
 from holeymagic.ingredients import classical_rectangle, magic_rectangle_set
 
 import golden
-from support import diagonal_run, naive_check
+from support import diagonal_run, naive_check, swap_columns
 
 
 def hstack(grids):
@@ -73,7 +73,7 @@ def test_stacked_golden():
 
 def test_stacked_single_copy_is_identity():
     square = parse(golden.SQUARE_5_3)
-    assert stacked(5, 1, 3, square) is square
+    assert stacked(5, 1, 3, square) == square
 
 
 def test_stacked_two_diagonals_delegates():
@@ -105,6 +105,12 @@ def test_stacked_rejects_bad_square():
     cells[0][2] += 1
     with pytest.raises(BadIngredient):
         stacked(5, 5, 3, HoleyGrid.from_rows(cells))
+    # an MS(5;3) whose filled cells lie on all five diagonals; one copy
+    # is validated as many are
+    spread = swap_columns(parse(golden.SQUARE_5_3), 0, 1)
+    for k in (1, 5):
+        with pytest.raises(BadIngredient, match="is not 3-diagonal"):
+            stacked(5, k, 3, spread)
 
 
 def test_nmss_matches_stacked_slices():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import os
 import pickle
@@ -91,6 +92,9 @@ def test_require_ms_labels_from_the_top_of_the_run():
     assert require_ms(parse(golden.SQUARE_5_3), 5, 3) == [4, 3, 2]
     with pytest.raises(BadIngredient, match="ingredient"):
         require_ms(parse(golden.TWO_PER_COLUMN_3_2), 3, 2)  # not square
+    # columns 0 and 1 swapped: still an MS(5;3), but on every diagonal
+    with pytest.raises(BadIngredient, match="is not 3-diagonal"):
+        require_ms(support.swap_columns(parse(golden.SQUARE_5_3), 0, 1), 5, 3)
 
 
 def test_run_top_wraps():
@@ -299,6 +303,28 @@ def test_pinned_closed_form_odd_rectangles(rows):
     assert classical_rectangle(b, a) == HoleyGrid.from_rows(zip(*rows))
 
 
+# sha256 of "a b\n" and the closed form's MRX text ("None\n" when it has
+# none) for every pair mr_exists allows with ab <= 600, a then b ascending;
+# frozen before the odd sides took one divisor-lift rule.
+CLOSED_FORMS_600 = "07a42609057345377801016da5374897a6fd573540d4e462f3b45f551277e56a"
+
+
+def test_closed_form_bytes_pinned():
+    h = hashlib.sha256()
+    pairs = nones = 0
+    for a in range(1, 601):
+        for b in range(1, 600 // a + 1):
+            if not existence.mr_exists(a, b):
+                continue
+            grid = ingredients._closed_rectangle(a, b)
+            h.update(f"{a} {b}\n".encode())
+            h.update(("None\n" if grid is None else serialize(grid)).encode())
+            pairs += 1
+            nones += grid is None
+    assert (pairs, nones) == (1371, 92)
+    assert h.hexdigest() == CLOSED_FORMS_600
+
+
 def test_closed_form_even_rectangle_sets():
     for a in range(2, 31, 2):
         for b in range(max(a, 4), 31, 2):
@@ -397,6 +423,13 @@ def test_cache_rejects_malformed_file(tmp_path):
     path.write_bytes(b"KEY mr 4 6 -\n4 6\n\xff\xfe 1\n")
     with pytest.raises(CorruptCache):
         IngredientCache(path).load("mr", (4, 6))
+    # a valid MS(6;4) whose diagonal 0 does not hold 0..11
+    path.write_text("KEY ms 6 4 2:0:11\n" + golden.SQUARE_6_4)
+    with pytest.raises(CorruptCache, match="violates profile 2:0:11"):
+        IngredientCache(path).load("ms", (6, 4), DiagonalProfile(((2, 0, 11),)))
+    path.write_text("KEY mrs 2 4 1 -\n" + serialize(classical_rectangle(2, 4)))
+    with pytest.raises(CorruptCache, match="unknown cache kind 'mrs'"):
+        IngredientCache(path).load("mrs", (2, 4, 1))
 
 
 def test_cached_mrs_roundtrip(tmp_path, monkeypatch):
@@ -940,6 +973,13 @@ def _differential_searches():
         yield f"sweep_ms_{m}_{s}", lambda b, m=m, s=s: [_search_square(m, s, None, b)], 2_500
     for a, b in [(7, 9), (9, 11)]:
         yield f"sweep_mr_{a}_{b}", lambda n, a=a, b=b: _full_rectangle(a, b, n), 2_500
+    # no such rectangles: the kernels exhaust the space
+    for a, b in EXHAUSTED_RECTANGLES:
+        yield f"mr_none_{a}_{b}", lambda n, a=a, b=b: _full_rectangle(a, b, n), 20_000
+
+
+# (a, b, nodes left of 20 000) for full rectangles that do not exist
+EXHAUSTED_RECTANGLES = {(2, 2): 19_986, (2, 3): 19_926, (3, 2): 19_898, (2, 5): 14_617}
 
 
 DIFFERENTIAL_SEARCHES = list(_differential_searches())
@@ -979,6 +1019,13 @@ def test_windowed_kernel_matches_reference(case, monkeypatch):
     kernels = (ingredients._search_assignment, support.reference_search_assignment)
     windowed, reference = (_outcomes(k, search, budgets, monkeypatch) for k in kernels)
     assert windowed == reference
+
+
+def test_kernel_exhaustion_leaves_the_unspent_budget(monkeypatch):
+    for (a, b), left in EXHAUSTED_RECTANGLES.items():
+        search = lambda n, a=a, b=b: _full_rectangle(a, b, n)
+        assert _outcomes(ingredients._search_assignment, search, [20_000], monkeypatch) == [
+            ("", [left])], (a, b)
 
 
 @pytest.mark.parametrize("nlines", [1, 3])
