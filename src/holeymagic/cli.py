@@ -2,7 +2,7 @@
 
 Thin by design: each command maps to one library operation, prints MRX or
 a one-line verdict, and turns library errors into exit codes (1 for
-domain failures and running out of memory, 2 for usage problems).
+domain failures and sizes past memory or index range, 2 for usage problems).
 
 Every subcommand is one row of _COMMANDS: its group, name, help, flags,
 whether it takes --cache, and the call it makes.  The nine commands that
@@ -49,6 +49,9 @@ def dispatch(argv) -> int:
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: too large: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

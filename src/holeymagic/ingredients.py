@@ -3,9 +3,9 @@ classical full magic rectangles and magic rectangle sets MRS(a,b;c).
 
 Resolution order is always the existence gate, then the catalog or a
 closed form, returned without touching the cache, then the cache, then
-deterministic backtracking search; only a searched square is stored
-when a cache is given.  Closed forms: even MR(a,b) lift MR(2,b) through
-a Kotzig array (kotzig.lift), odd MR(a,a) is the Siamese square, odd
+deterministic backtracking search; only a searched square is stored when
+a cache is given.  Closed forms: even MR(a,b) lift MR(2,b) through a
+Kotzig array (kotzig.lift), odd MR(a,a) is the Siamese square, odd
 coprime MR(a,b) with a short side of 3 or 5 are signed magic arrays
 shifted up, and every other odd MR(a,b) lifts MR(a,p) or MR(p,b) for the
 first p in (gcd(a,b), 3, 5) with 1 < p that properly divides b or a.
@@ -13,14 +13,15 @@ The full square MS(m;m) is MR(m,m).  Every MRS(a,b;c) is c copies of
 MR(a,b) lifted through one more Kotzig array.  The odd rectangles no p
 fits, and the sets over them, are never searched: they raise
 SearchBudgetExceeded with 0 nodes at once.  Thin squares (s < m) and
-profiled squares the closed form misses are searched, and
-the cache holds only those (`mr` entries of older versions still load).
-A diagonal profile is one run of the lowest values.  Search failure by
-exhaustion raises NotConstructible; running out of node budget raises
-SearchBudgetExceeded, which is inconclusive and never a nonexistence
-claim.  An IngredientCache appends under flock, so processes may share
-one; it remembers failures in memory, never in its file, and answers a
-repeat at the same or a smaller budget at once.
+profiled squares the closed form misses are searched, and the cache
+holds only those (`mr` entries of older versions still load).  A
+diagonal profile is one run of the lowest values.  Search failure by
+exhaustion raises NotConstructible.  magic_square_holes checks its
+budget, an int >= 0, once; the kernel returns the nodes left, and
+running out raises SearchBudgetExceeded with budget + 1 nodes, never a
+nonexistence claim.  An IngredientCache appends under flock, so
+processes may share one; it remembers failures in memory, never in its
+file, and answers a repeat at the same or a smaller budget at once.
 """
 
 from __future__ import annotations
@@ -331,25 +332,14 @@ def _signed_rows5(n: int) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 # search kernel
 
-class _Budget:
-    """Node allowance shared by every search made for one ingredient;
-    `label` names that ingredient in the exhaustion error."""
-
-    __slots__ = ("total", "left", "label")
-
-    def __init__(self, nodes: int, label: str):
-        self.total = self.left = int(nodes)
-        self.label = label
-
-
-def _search_assignment(cell_domain, lines, domains, budget):
-    """First exact assignment of distinct values to cells, or None.
+def _search_assignment(cell_domain, lines, domains, left):
+    """First exact assignment of distinct values to cells, or None, and
+    the nodes left of `left`; (None, -1) on the attempt that overruns it.
 
     Cells are filled in index order.  cell_domain: domain index of each
-    cell; lines: list of (target, cell indices in fill order), every cell
-    on exactly two of them, its row and its column (ValueError otherwise);
-    domains: list of ascending value tuples with exact counts (each domain
-    holds as many values as cells).
+    cell; lines: list of (target, cell indices in fill order), each cell
+    on two, its row and its column; domains: list of ascending value
+    tuples with exact counts (each domain holds as many values as cells).
 
     Each domain keeps its unused values as one ascending free list: a
     placement pops the value at its position and backtracking re-inserts
@@ -366,10 +356,8 @@ def _search_assignment(cell_domain, lines, domains, budget):
     explicit-stack loop, so its depth is not limited by the interpreter's
     recursion limit.
 
-    Charges one budget unit per attempted placement, as if every candidate
-    were tried in turn: the candidates the window skips are charged in one
-    step.  Raises SearchBudgetExceeded on the attempt after the budget
-    runs dry.
+    Charges one node per attempted placement, as if every candidate were
+    tried in turn: the candidates the window skips are charged in one step.
     """
     ncells = len(cell_domain)
     gap = [t for t, _ in lines]  # a line's target minus its placed values
@@ -385,15 +373,11 @@ def _search_assignment(cell_domain, lines, domains, budget):
             k = counts.get(d, 0)
             cells[c] += (L, tuple(counts.items()), k)
             counts[d] = k + 1
-    for c, mine in enumerate(cells):
-        if len(mine) != 7:
-            raise ValueError(f"cell {c} is not on exactly two lines: {(len(mine) - 1) // 3}")
 
     assignment = [0] * ncells
     pos_of = [0] * ncells  # free-list position each placed value came from
     stop = [0] * ncells  # end of the cell's window of placeable positions
     end = [0] * ncells  # end of its candidates, the smaller gap's bisect
-    left = budget.left
     idx, pos = 0, None  # pos None: cell idx is entered afresh, not resumed
     while idx < ncells:
         f, row, row_rest, row_k, col, col_rest, col_k = cells[idx]
@@ -445,15 +429,13 @@ def _search_assignment(cell_domain, lines, domains, budget):
         else:
             spent = end[idx] - pos  # pos <= stop[idx] <= end[idx]
         if spent > left:
-            budget.left = -1
-            raise SearchBudgetExceeded(budget.label, budget.total + 1)
+            return None, -1
         left -= spent
         if at >= upto:
             # candidates exhausted: take back the previous cell's value and
             # resume that cell after it
             if idx == 0:
-                budget.left = left
-                return None
+                return None, left
             idx -= 1
             f, row, _, _, col, _, _ = cells[idx]
             v, pos = assignment[idx], pos_of[idx]
@@ -467,8 +449,7 @@ def _search_assignment(cell_domain, lines, domains, budget):
         gap[col] -= v
         assignment[idx], pos_of[idx] = v, at
         idx, pos = idx + 1, None
-    budget.left = left
-    return assignment
+    return assignment, left
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +459,21 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
                        *, cache=None, budget: int = DEFAULT_BUDGET) -> HoleyGrid:
     """An s-diagonal MS(m;s), optionally matching a diagonal profile.
 
-    Raises NotConstructible unless existence.ms_exists(m, s).  Resolution:
-    catalog, the closed-form full square when s = m and it meets the
-    profile, then cache and search: anchored on the profile's run, or
-    layered (all diagonals as value blocks, then all but two, then free).
-    This is the only code that touches the cache (an IngredientCache or a
-    path, or None for none): a hit is returned, a found square stored.  A
-    miss whose search the same IngredientCache ran dry at this budget or a
-    larger one raises at once, as the search would: a budget only cuts
-    one deterministic walk short.
+    `budget`, the search's node allowance, is an int >= 0 (a bool is not)
+    or ValueError; running out raises SearchBudgetExceeded with budget + 1
+    nodes.  Raises NotConstructible unless existence.ms_exists(m, s).
+    Resolution: catalog, the closed-form full square when s = m and it
+    meets the profile, then cache and search: anchored on the profile's
+    run, or layered (all diagonals as value blocks, then all but two, then
+    free).  This is the only code that touches the cache (an
+    IngredientCache or a path, or None for none): a hit is returned, a
+    found square stored.  A miss whose search the same IngredientCache ran
+    dry at this budget or a larger one raises at once, as the search
+    would: a budget only cuts one deterministic walk short.
     """
     existence.require_positive_ints("m and s", m, s)
+    if not (existence.is_int(budget) and budget >= 0):
+        raise ValueError("budget must be an integer >= 0")
     if not existence.ms_exists(m, s):
         raise NotConstructible(
             f"no MS({m};{s}): need m=s=1 or 3 <= s <= m with s even or m odd"
@@ -509,7 +494,7 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         return grid
     key = _cache_key("ms", (m, s), profile)
     if cache._dry.get(key, -1) >= budget:
-        raise SearchBudgetExceeded(_square_label(m, s, profile), int(budget) + 1)
+        raise SearchBudgetExceeded(_square_label(m, s, profile), budget + 1)
     try:
         grid = _search_square(m, s, profile, budget)
     except SearchBudgetExceeded:
@@ -541,7 +526,7 @@ def _search_square(m, s, profile, budget):
                 + (f"the run needs {q} diagonals and there are {s}" if q > s
                    else f"the run holds {q} x {m} = {q * m} values, not {hi + 1}"))
         counts = (q,)
-    b = _Budget(budget, _square_label(m, s, profile))
+    left = budget
     cells = []
     for t in range(m):
         cells += [(t, j) for j in range(t + m - s, m)]
@@ -560,7 +545,9 @@ def _search_square(m, s, profile, budget):
         for anchor in range(anchors):
             block_of = {m - s + (anchor + k) % s: k for k in range(q)}
             cell_domain = [block_of.get((j - i) % m, q) for i, j in cells]
-            got = _search_assignment(cell_domain, lines, domains, b)
+            got, left = _search_assignment(cell_domain, lines, domains, left)
+            if left < 0:
+                raise SearchBudgetExceeded(_square_label(m, s, profile), budget + 1)
             if got is not None:
                 grid = [[None] * m for _ in range(m)]
                 for (i, j), v in zip(cells, got):

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from math import factorial
 from typing import Dict, List
 
-from holeymagic import HoleyGrid, ParseError, SearchBudgetExceeded, ShapeError
+from holeymagic import HoleyGrid, ParseError, ShapeError
 from holeymagic.grid import (
     EMPTY_TOKEN,
     MagicSpec,
@@ -175,8 +175,9 @@ def mutate(grid: HoleyGrid, rng: random.Random) -> HoleyGrid:
     return HoleyGrid(grid.rows, grid.cols, tuple(tuple(row) for row in cells))
 
 
-def reference_search_assignment(cell_domain, lines, domains, budget):
-    """First exact assignment of distinct values to cells, or None.
+def reference_search_assignment(cell_domain, lines, domains, left):
+    """First exact assignment of distinct values to cells, or None, and
+    the nodes left of `left`; (None, -1) on the attempt that overruns it.
 
     Cells are filled in index order.  cell_domain: domain index of each
     cell; lines: list of (target, cell indices in fill order); domains:
@@ -189,8 +190,7 @@ def reference_search_assignment(cell_domain, lines, domains, budget):
     free values (plain slices), and a cell's candidates are the free values
     up to the smallest remaining line target.  The search is an
     explicit-stack loop, so its depth is not limited by the interpreter's
-    recursion limit.  Charges one budget unit per attempted placement and
-    raises SearchBudgetExceeded on the attempt after the budget runs dry.
+    recursion limit.  Charges one node per attempted placement.
     """
     ncells = len(cell_domain)
     gap = [t for t, _ in lines]  # a line's target minus its placed values
@@ -205,7 +205,6 @@ def reference_search_assignment(cell_domain, lines, domains, budget):
     free = [list(d) for d in domains]
     assignment = [0] * ncells
     pos_of = [0] * ncells  # free-list position each placed value came from
-    left = budget.left
     idx, pos = 0, 0  # the free-list position cell idx resumes from
     while idx < ncells:
         f = free[cell_domain[idx]]
@@ -214,8 +213,7 @@ def reference_search_assignment(cell_domain, lines, domains, budget):
         for pos in range(pos, bisect_right(f, cap)):
             left -= 1
             if left < 0:
-                budget.left = left
-                raise SearchBudgetExceeded(budget.label, budget.total - left)
+                return None, -1
             v = f.pop(pos)
             for L, rest in mine:
                 need = gap[L] - v
@@ -239,8 +237,7 @@ def reference_search_assignment(cell_domain, lines, domains, budget):
             # candidates exhausted: take back the previous cell's value and
             # resume that cell after it
             if idx == 0:
-                budget.left = left
-                return None
+                return None, left
             idx -= 1
             v, pos = assignment[idx], pos_of[idx]
             for L, _ in checks[idx]:
@@ -252,8 +249,7 @@ def reference_search_assignment(cell_domain, lines, domains, budget):
             gap[L] -= v
         assignment[idx], pos_of[idx] = v, pos
         idx, pos = idx + 1, 0
-    budget.left = left
-    return assignment
+    return assignment, left
 
 
 def reference_enumerate(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:

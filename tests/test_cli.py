@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from holeymagic import MagicSpec, construct, existence, ingredients, oracle, parse, realize
 from holeymagic import serialize, verify
 from holeymagic.cli import _build_parser, dispatch
@@ -209,6 +211,20 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(construct.BUILDS, "TwoPerColumn", too_big)
     code, out, err = run(capsys, "construct", "two-per-column", "--m", "100000", "--k", "100000")
     assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "kotzig --s 2 --k 100000000000000000000000",
+    "construct two-per-column --m 2 --k 100000000000000000000000",
+    "ingredient mr --a 100000000000000000000 --b 100000000000000000000",
+    "oracle --m 100000000000000000000 --n 100000000000000000000 --r 2 --s 2 --cap 0",
+], ids=["kotzig", "two_per_column", "ingredient_mr", "oracle"])
+def test_sizes_past_the_index_range_exit_one(capsys, argv):
+    # each fails on its first index-sized operation, before allocating
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: too large: ")
+    assert "Traceback" not in err
 
 
 def test_verify_undecodable_file_exits_one(capsys, tmp_path):

@@ -223,6 +223,9 @@ def test_block_set_gates():
         block_set(1, 4, 2, rects)
     with pytest.raises(NotConstructible):
         block_set(3, 5, 2, rects)  # odd sides need an odd count
+    r0, r1, _ = magic_rectangle_set(3, 3, 3)
+    with pytest.raises(BadIngredient, match=r"^member 2 is 3x5, expected 3x3$"):
+        block_set(3, 3, 3, [r0, r1, classical_rectangle(3, 5)])
 
 
 def test_realize_routes_to_golden():

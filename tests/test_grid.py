@@ -24,6 +24,8 @@ import support
 def test_grid_rejects_bad_cells():
     with pytest.raises(ShapeError):
         HoleyGrid(2, 2, ((0, 1),))
+    with pytest.raises(ShapeError, match=r"^grid must be at least 1x1, got 0x3$"):
+        HoleyGrid(0, 3, ())
     with pytest.raises(ShapeError):
         HoleyGrid.from_rows([])
     with pytest.raises(ValueError):

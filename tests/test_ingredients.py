@@ -137,6 +137,54 @@ def test_tiny_budget_raises():
         magic_square_holes(7, 6, budget=50)
 
 
+@pytest.mark.parametrize("budget", [-1, 2.7, "5", True, None])
+def test_budget_must_be_an_int_of_at_least_zero(tmp_path, monkeypatch, budget):
+    # checked once, at the entry: never coerced, never searched, and a
+    # negative budget never reads as "nothing was searched"
+    calls = _counting_kernel(monkeypatch)
+    path = tmp_path / "ing.mrx"
+    for cache in (None, IngredientCache(path)):
+        with pytest.raises(ValueError, match=r"^budget must be an integer >= 0$"):
+            magic_square_holes(7, 4, cache=cache, budget=budget)
+    with pytest.raises(ValueError, match=r"^budget must be an integer >= 0$"):
+        realize(7, 14, 8, 4, budget=-3)  # the Stacked route fetches MS(7;4)
+    assert calls == []
+    assert not path.exists()
+
+
+def test_budget_zero_spends_one_node(tmp_path, monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    shared = IngredientCache(tmp_path / "ing.mrx")
+    # a fresh search, the same search on a cache, then its remembered failure
+    for cache, searches in [(None, 1), (shared, 1), (shared, 0)]:
+        del calls[:]
+        with pytest.raises(SearchBudgetExceeded) as info:
+            magic_square_holes(7, 4, cache=cache, budget=0)
+        assert (info.value.ingredient, info.value.nodes) == ("MS(7;4)", 1)
+        assert str(info.value) == "MS(7;4): node budget exhausted after 1 nodes"
+        assert len(calls) == searches
+
+
+@pytest.mark.parametrize("budget", [0, 1, 9, 80, 700])
+def test_every_search_failure_spent_at_least_one_node(tmp_path, budget):
+    # every square that searches, with and without a profile, fresh and
+    # then remembered by a cache: a budget failure reports budget + 1 nodes
+    fetches = [(m, s, None) for m in range(4, 12) for s in range(1, m)
+               if existence.ms_exists(m, s)]
+    fetches += [(m, s, DiagonalProfile(((s // 4, 0, m * (s // 4) - 1),)))
+                for m, s in [(6, 4), (8, 4), (10, 4), (12, 6)]]
+    cache = IngredientCache(tmp_path / "ing.mrx")
+    failures = 0
+    for m, s, profile in fetches:
+        for where in (None, cache, cache):
+            try:
+                magic_square_holes(m, s, profile, cache=where, budget=budget)
+            except SearchBudgetExceeded as exc:
+                assert exc.nodes == budget + 1 >= 1, (m, s, profile, exc)
+                failures += 1
+    assert failures
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         DiagonalProfile(((0, 0, 5),))
@@ -165,6 +213,9 @@ def test_profile_satisfied_reads_content():
     assert not profile_satisfied(g, DiagonalProfile(((1, 0, 11),)))
     assert not profile_satisfied(g, DiagonalProfile(((2, 0, 11),)))
     assert not profile_satisfied(parse(golden.TWO_PER_COLUMN_3_2), DiagonalProfile(((1, 0, 5),)))
+    # the Siamese MS(3;3) holds 0..8 on its three broken diagonals, but no
+    # diagonal holds a block of three consecutive values
+    assert not profile_satisfied(magic_square_holes(3, 3), DiagonalProfile(((3, 0, 8),)))
 
 
 # --- classical rectangles ---------------------------------------------------
@@ -423,6 +474,11 @@ def test_cache_rejects_malformed_file(tmp_path):
     path.write_bytes(b"KEY mr 4 6 -\n4 6\n\xff\xfe 1\n")
     with pytest.raises(CorruptCache):
         IngredientCache(path).load("mr", (4, 6))
+    # a store reads the file too, and appends nothing to one it cannot
+    path.write_bytes(b"KEY ms 7 3 -\n\xff\xfe\n")
+    with pytest.raises(CorruptCache, match="undecodable bytes"):
+        IngredientCache(path).store("ms", (5, 3), parse(golden.SQUARE_5_3))
+    assert path.read_bytes() == b"KEY ms 7 3 -\n\xff\xfe\n"
     # a valid MS(6;4) whose diagonal 0 does not hold 0..11
     path.write_text("KEY ms 6 4 2:0:11\n" + golden.SQUARE_6_4)
     with pytest.raises(CorruptCache, match="violates profile 2:0:11"):
@@ -933,8 +989,9 @@ def _full_rectangle(rows, cols, budget):
     n = rows * cols
     lines = [(cols * (n - 1) // 2, list(range(i, n, rows))) for i in range(rows)]
     lines += [(rows * (n - 1) // 2, list(range(j * rows, (j + 1) * rows))) for j in range(cols)]
-    got = ingredients._search_assignment([0] * n, lines, [tuple(range(n))],
-                                         ingredients._Budget(budget, f"MR({rows},{cols})"))
+    got, left = ingredients._search_assignment([0] * n, lines, [tuple(range(n))], budget)
+    if left < 0:
+        raise SearchBudgetExceeded(f"MR({rows},{cols})", budget + 1)
     if got is None:
         return []
     return [HoleyGrid.from_rows(zip(*(got[j * rows:(j + 1) * rows] for j in range(cols))))]
@@ -992,11 +1049,10 @@ def _outcomes(kernel, search, budgets, monkeypatch):
     left after each kernel call the search made."""
     left = []
 
-    def traced(cell_domain, lines, domains, budget):
-        try:
-            return kernel(cell_domain, lines, domains, budget)
-        finally:
-            left.append(budget.left)
+    def traced(cell_domain, lines, domains, nodes):
+        got = kernel(cell_domain, lines, domains, nodes)
+        left.append(got[1])
+        return got
 
     monkeypatch.setattr(ingredients, "_search_assignment", traced)
     outcomes = []
@@ -1026,13 +1082,3 @@ def test_kernel_exhaustion_leaves_the_unspent_budget(monkeypatch):
         search = lambda n, a=a, b=b: _full_rectangle(a, b, n)
         assert _outcomes(ingredients._search_assignment, search, [20_000], monkeypatch) == [
             ("", [left])], (a, b)
-
-
-@pytest.mark.parametrize("nlines", [1, 3])
-def test_kernel_refuses_a_cell_not_on_two_lines(nlines):
-    # the kernel keeps one row and one column per cell; the reference
-    # kernel, which takes any lines, solves the same toy problem
-    lines = [(5, [0])] * nlines
-    assert support.reference_search_assignment([0], lines, [(5,)], ingredients._Budget(9, "toy")) == [5]
-    with pytest.raises(ValueError, match=f"cell 0 is not on exactly two lines: {nlines}"):
-        ingredients._search_assignment([0], lines, [(5,)], ingredients._Budget(9, "toy"))
