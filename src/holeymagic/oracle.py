@@ -2,7 +2,9 @@
 
 Shares no code with the constructions: a plain cell-by-cell backtracking
 sweep, row-major, trying Empty before values and values in ascending
-order, so counts and witness order are reproducible.
+order, so counts and witness order are reproducible.  The sweep runs on
+the orientation with at least as many rows as columns: a row-major walk
+of a wide grid fills a long row before any column closes.
 
 Permuting the rows or the columns of an MR(m,n;r,s) gives another one,
 and no permutation but the identity fixes a grid: every line holds a
@@ -58,6 +60,11 @@ DEFAULT_NODE_BUDGET = 10 ** 7
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """count grids found, up to a cap of them kept as witnesses, and whether
+    the walk exhausted the shape; when it did not, count is a lower bound.
+    A wide shape's witnesses are transposes of the tall walk's canonical
+    grids."""
+
     count: int
     witnesses: Tuple[HoleyGrid, ...]
     exhausted: bool
@@ -70,19 +77,22 @@ def enumerate(m: int, n: int, r: int, s: int, witness_cap: int = 4,
 
     The count is m!*n! times the number of canonical grids, one per orbit
     of the row and column permutations, and the witnesses are canonical
-    grids, so no two are permutations of each other.  Malformed parameters
-    raise ShapeError.  Running out of node budget returns the partial count
-    with exhausted=False instead of raising.  allow_large is ignored.
+    grids, so no two are permutations of each other.  A wide shape (n > m)
+    is walked as its tall transpose MR(n,m;s,r), which has the same count:
+    node_budget counts the tall walk's nodes, and the witnesses are the
+    transposes of canonical tall grids.  Malformed parameters raise
+    ShapeError.  Running out of node budget returns the partial count with
+    exhausted=False instead of raising.  allow_large is ignored.
     """
     _check_args(m, n, r, s, witness_cap, node_budget)
-    return _run(m, n, r, s, witness_cap, node_budget, None)
+    return _tall_run(m, n, r, s, witness_cap, node_budget, None)
 
 
 def exists_brute(m: int, n: int, r: int, s: int,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> str:
     """"yes", "no" or "inconclusive", stopping at the first witness."""
     _check_args(m, n, r, s, 1, node_budget)
-    res = _run(m, n, r, s, 1, node_budget, 1)
+    res = _tall_run(m, n, r, s, 1, node_budget, 1)
     if res.count > 0:
         return "yes"
     return "no" if res.exhausted else "inconclusive"
@@ -94,6 +104,15 @@ def _check_args(m, n, r, s, witness_cap, node_budget) -> None:
         raise ValueError("witness_cap must be an integer >= 0")
     if not is_int(node_budget) or node_budget < 1:
         raise ValueError("node_budget must be a positive integer")
+
+
+def _tall_run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:
+    """_run on the orientation with n <= m, witnesses transposed back."""
+    if n <= m:
+        return _run(m, n, r, s, witness_cap, node_budget, stop_at)
+    res = _run(n, m, s, r, witness_cap, node_budget, stop_at)
+    return EnumerationResult(res.count, tuple(
+        HoleyGrid.from_rows(zip(*w.cells)) for w in res.witnesses), res.exhausted)
 
 
 def _run(m, n, r, s, witness_cap, node_budget, stop_at) -> EnumerationResult:

@@ -98,7 +98,10 @@ def test_witnesses_are_canonical(shape):
     assert result.count == len(result.witnesses) * math.factorial(m) * math.factorial(n)
     assert len(set(result.witnesses)) == len(result.witnesses)
     for w in result.witnesses:
-        assert _is_canonical(w)
+        # a wide shape is walked tall, so its witnesses are transposes of
+        # canonical tall grids
+        walked = HoleyGrid.from_rows(zip(*w.cells)) if n > m else w
+        assert _is_canonical(walked)
         assert support.naive_check(w, *shape)
 
 
@@ -188,14 +191,17 @@ def test_nonintegral_constants_short_circuit():
 # Node charging, read off the value-by-value canonical reference: a node is
 # one allowed Empty attempt or one free value examined, counting the value
 # that ends a cell's ascending walk, and a run stops on budget + 1.  Each
-# shape exhausts at exactly the pinned budget and not one node sooner.
+# shape exhausts at exactly the pinned budget and not one node sooner.  A
+# wide shape is walked as its tall transpose, so (2,4,4,2) and (2,6,6,2)
+# carry the pins of (4,2,2,4) and (6,2,2,6).
 @pytest.mark.parametrize("shape, nodes, count", [
     ((3, 3, 3, 3), 336, 72),
-    ((2, 4, 4, 2), 356, 48),
+    ((2, 4, 4, 2), 81, 48),
     ((4, 4, 2, 2), 65, 0),
     ((4, 2, 2, 4), 81, 48),
-    ((2, 6, 6, 2), 7581, 1440),
+    ((2, 6, 6, 2), 280, 1440),
     ((6, 2, 2, 6), 280, 1440),
+    ((2, 8, 8, 2), 951, 322_560),
 ])
 def test_pinned_node_charging(shape, nodes, count):
     done = brute_enumerate(*shape, witness_cap=0, node_budget=nodes)
@@ -204,18 +210,19 @@ def test_pinned_node_charging(shape, nodes, count):
     assert cut == EnumerationResult(count, (), False)
 
 
+# the first witness of the tall walk of (5,3,3,5), transposed back
 PARTIAL_3_5_5_3 = """\
 3 5
-0 1 8 12 14
-10 13 4 6 2
-11 7 9 3 5
+0 1 10 13 11
+7 8 9 5 6
+14 12 2 3 4
 """
 
 
 def test_pinned_partial_result():
     result = brute_enumerate(3, 5, 5, 3, witness_cap=1, node_budget=20_000,
                              allow_large=True)
-    assert (result.count, result.exhausted) == (10 * 6 * 120, False)
+    assert (result.count, result.exhausted) == (29 * 6 * 120, False)
     assert [serialize(w) for w in result.witnesses] == [PARTIAL_3_5_5_3]
 
 
@@ -324,8 +331,52 @@ def test_in_place_resumes_match_reference():
 
 def test_deep_walk_does_not_recurse():
     # Row 0 opens with 1204 Empty cells, so the walk passes 1205 cells deep,
-    # beyond the interpreter's default recursion limit of 1000.
+    # beyond the interpreter's default recursion limit of 1000.  enumerate
+    # would walk the tall transpose, which exhausts at once, so this calls
+    # the walk on the wide orientation itself.
     limit = sys.getrecursionlimit()
-    result = brute_enumerate(5, 1505, 301, 1, witness_cap=1, node_budget=2000)
+    result = _run(5, 1505, 301, 1, 1, 2000, None)
     assert (result.count, result.exhausted) == (0, False)
     assert sys.getrecursionlimit() == limit
+
+
+def test_tall_walk_is_sound_on_wide_shapes():
+    """Every wide workload shape, walked both ways at the workload's budget:
+    the tall walk decides each shape the wide one does, with the same count
+    where both exhaust, and enumerate's witnesses are wide grids."""
+    wide = [shape for shape in _workload_shapes() if shape[1] > shape[0]]
+    assert len(wide) == 38
+    exhausts = [0, 0]  # by the wide walk, by the tall one
+    for m, n, r, s in wide:
+        as_given = _run(m, n, r, s, 0, 20_000, None)
+        tall = _run(n, m, s, r, 0, 20_000, None)
+        if as_given.exhausted:
+            assert tall.exhausted, (m, n, r, s)
+            assert tall.count == as_given.count, (m, n, r, s)
+        elif tall.exhausted:
+            assert as_given.count <= tall.count, (m, n, r, s)
+        if as_given.count:
+            assert tall.count or tall.exhausted, (m, n, r, s)
+        exhausts[0] += as_given.exhausted
+        exhausts[1] += tall.exhausted
+        res = brute_enumerate(m, n, r, s, witness_cap=3, node_budget=20_000)
+        assert (res.count, res.exhausted) == (tall.count, tall.exhausted)
+        assert len(res.witnesses) == min(3, res.count // (
+            math.factorial(m) * math.factorial(n)))
+        for w in res.witnesses:
+            assert verify(w, MagicSpec(m, n, r, s)).ok
+            assert support.naive_check(w, m, n, r, s)
+        verdict = ("yes" if res.count else "no" if res.exhausted
+                   else "inconclusive")
+        assert exists_brute(m, n, r, s, node_budget=20_000) == verdict, (m, n, r, s)
+    assert exhausts == [3, 6]
+
+
+def test_workload_shapes_conclusive_at_its_budget():
+    # node counts are deterministic, so this pins the tall walk's gain (56
+    # shapes were conclusive when wide shapes were walked as given)
+    conclusive = 0
+    for shape in _workload_shapes():
+        res = brute_enumerate(*shape, witness_cap=1, node_budget=20_000)
+        conclusive += res.count > 0 or res.exhausted
+    assert conclusive >= 72
