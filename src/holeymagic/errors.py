@@ -34,22 +34,21 @@ class BadIngredient(HoleyMagicError):
 
 
 class SearchBudgetExceeded(HoleyMagicError):
-    """Backtracking gave up before exhausting the space.  Inconclusive,
-    never evidence of nonexistence.  Carries the ingredient it gave up on,
-    e.g. "MS(7;4)" or "MS(8;4) profile 1:0:7", and the nodes spent, at
-    least 1; 0 nodes means that nothing was searched (an odd coprime
-    MR(a,b) with both sides at least 7 and prime to 15, refused at once)."""
+    """No ingredient within the search's means.  Inconclusive, never
+    evidence of nonexistence.  Carries the ingredient given up on, e.g.
+    "MS(7;4)" or "MS(8;4) profile 1:0:7", the nodes spent, and why, in the
+    raiser's words; by default the node budget ran out.  A search spends at
+    least 1 node, so 0 nodes means that nothing was searched."""
 
-    def __init__(self, ingredient: str, nodes: int):
-        super().__init__(ingredient, nodes)  # args rebuild it when unpickled
+    def __init__(self, ingredient: str, nodes: int, why: str = ""):
+        why = why or f"node budget exhausted after {nodes} nodes"
+        super().__init__(ingredient, nodes, why)  # args rebuild it when unpickled
         self.ingredient = ingredient
         self.nodes = nodes
+        self.why = why
 
     def __str__(self):
-        if self.nodes == 0:
-            return (f"{self.ingredient}: no construction for odd coprime sides "
-                    "both >= 7 and prime to 15; nothing was searched")
-        return f"{self.ingredient}: node budget exhausted after {self.nodes} nodes"
+        return f"{self.ingredient}: {self.why}"
 
 
 class CacheError(HoleyMagicError):

@@ -13,15 +13,15 @@ The full square MS(m;m) is MR(m,m).  Every MRS(a,b;c) is c copies of
 MR(a,b) lifted through one more Kotzig array.  The odd rectangles no p
 fits, and the sets over them, are never searched: they raise
 SearchBudgetExceeded with 0 nodes at once.  Thin squares (s < m) and
-profiled squares the closed form misses are searched, and the cache
-holds only those (`mr` entries of older versions still load).  A
-diagonal profile is one run of the lowest values.  Search failure by
-exhaustion raises NotConstructible.  magic_square_holes checks its
-budget, an int >= 0, once; the kernel returns the nodes left, and
-running out raises SearchBudgetExceeded with budget + 1 nodes, never a
-nonexistence claim.  An IngredientCache appends under flock, so
-processes may share one; it remembers failures in memory, never in its
-file, and answers a repeat at the same or a smaller budget at once.
+profiled squares the closed form misses are searched in one walk, and
+the cache holds only those (`mr` entries of older versions still load).
+A diagonal profile is one run of the lowest values.  magic_square_holes
+checks its budget, an int >= 0, once.  A search that overruns it, or
+whose walk ends without a square, raises SearchBudgetExceeded: only the
+gates and an unfit profile raise NotConstructible.  An IngredientCache
+appends under flock, so processes may share one; it remembers overruns
+in memory, never in its file, and answers a repeat at the same or a
+smaller budget at once.
 """
 
 from __future__ import annotations
@@ -461,15 +461,15 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
 
     `budget`, the search's node allowance, is an int >= 0 (a bool is not)
     or ValueError; running out raises SearchBudgetExceeded with budget + 1
-    nodes.  Raises NotConstructible unless existence.ms_exists(m, s).
-    Resolution: catalog, the closed-form full square when s = m and it
-    meets the profile, then cache and search: anchored on the profile's
-    run, or layered (all diagonals as value blocks, then all but two, then
-    free).  This is the only code that touches the cache (an
-    IngredientCache or a path, or None for none): a hit is returned, a
-    found square stored.  A miss whose search the same IngredientCache ran
-    dry at this budget or a larger one raises at once, as the search
-    would: a budget only cuts one deterministic walk short.
+    nodes.  Raises NotConstructible unless existence.ms_exists(m, s), or
+    for a profile that cannot fit.  Resolution: catalog, the closed-form
+    full square when s = m and it meets the profile, then cache and one
+    search walk (_search_square), which finds a square or raises the
+    inconclusive SearchBudgetExceeded.  This is the only code that touches
+    the cache (an IngredientCache or a path, or None for none): a hit is
+    returned, a found square stored.  A miss whose search the same
+    IngredientCache overran at this budget or a larger one raises at once,
+    as the search would: a budget only cuts one deterministic walk short.
     """
     existence.require_positive_ints("m and s", m, s)
     if not (existence.is_int(budget) and budget >= 0):
@@ -497,8 +497,9 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
         raise SearchBudgetExceeded(_square_label(m, s, profile), budget + 1)
     try:
         grid = _search_square(m, s, profile, budget)
-    except SearchBudgetExceeded:
-        cache._dry[key] = budget
+    except SearchBudgetExceeded as exc:
+        if exc.nodes > budget:  # an overrun; an ended walk is not remembered
+            cache._dry[key] = budget
         raise
     cache.store("ms", (m, s), grid, profile)
     return grid
@@ -509,24 +510,25 @@ def _square_label(m, s, profile):
 
 
 def _search_square(m, s, profile, budget):
-    """Search MS(m;s) on the support {m-s..m-1} with its lowest qm values
-    on q consecutive support diagonals, the b-th holding bm..bm+m-1, and
-    the rest of the support sharing the other values.  q is the profile's
-    run, or with no profile s, then s - 2, then 0.  Each q tries every
-    anchor of its blocks in order, under one budget.  Cells are filled row
-    0, column 0, row 1, column 1, ... so both line constraints bind early.
+    """Search MS(m;s) on the support {m-s..m-1} in one walk: block k < q,
+    km..km+m-1, on diagonal m-s+k and the other values on the rest.  q is
+    s (s < m: MS(m;m) has a closed form) or the profile's run.  Cells fill
+    row 0, column 0, row 1, column 1, ... so both lines bind early.  A walk
+    places at most one cell per node, so m*s > budget is an overrun before
+    any cell is built.  A walk that ends without a square fixed its blocks'
+    order, so it is inconclusive: SearchBudgetExceeded with the nodes spent.
     """
-    if profile is None:
-        counts = (s, s - 2, 0)  # s < m here: the full square has a closed form
-    else:
+    q = s
+    if profile is not None:
         ((q, _, hi),) = profile.required_runs
         if q > s or hi + 1 != q * m:
             raise NotConstructible(
                 f"no MS({m};{s}) with diagonal profile {profile.tag()}: "
                 + (f"the run needs {q} diagonals and there are {s}" if q > s
                    else f"the run holds {q} x {m} = {q * m} values, not {hi + 1}"))
-        counts = (q,)
-    left = budget
+    label = _square_label(m, s, profile)
+    if m * s > budget:
+        raise SearchBudgetExceeded(label, budget + 1)
     cells = []
     for t in range(m):
         cells += [(t, j) for j in range(t + m - s, m)]
@@ -536,27 +538,20 @@ def _search_square(m, s, profile, budget):
     for idx, (i, j) in enumerate(cells):
         lines[i][1].append(idx)
         lines[m + j][1].append(idx)
-    for q in counts:
-        domains = [tuple(range(k * m, (k + 1) * m)) for k in range(q)]
-        if q < s:
-            domains.append(tuple(range(q * m, m * s)))
-        # no blocks: one anchor; a full support wraps, so its blocks may too
-        anchors = 1 if q == 0 else s if s == m else s - q + 1
-        for anchor in range(anchors):
-            block_of = {m - s + (anchor + k) % s: k for k in range(q)}
-            cell_domain = [block_of.get((j - i) % m, q) for i, j in cells]
-            got, left = _search_assignment(cell_domain, lines, domains, left)
-            if left < 0:
-                raise SearchBudgetExceeded(_square_label(m, s, profile), budget + 1)
-            if got is not None:
-                grid = [[None] * m for _ in range(m)]
-                for (i, j), v in zip(cells, got):
-                    grid[i][j] = v
-                return HoleyGrid.from_rows(grid)
-    if profile is not None:
-        raise NotConstructible(f"no MS({m};{s}) with diagonal profile {profile.tag()} "
-                               "(anchored block search exhausted)")
-    raise NotConstructible(f"search exhausted without finding MS({m};{s})")
+    domains = [tuple(range(k * m, (k + 1) * m)) for k in range(q)]
+    if q < s:
+        domains.append(tuple(range(q * m, m * s)))
+    cell_domain = [min((j - i + s) % m, q) for i, j in cells]
+    got, left = _search_assignment(cell_domain, lines, domains, budget)
+    if left < 0:
+        raise SearchBudgetExceeded(label, budget + 1)
+    if got is None:
+        n = budget - left
+        raise SearchBudgetExceeded(label, n, f"the walk ended without a square after {n} nodes")
+    grid = [[None] * m for _ in range(m)]
+    for (i, j), v in zip(cells, got):
+        grid[i][j] = v
+    return HoleyGrid.from_rows(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +572,8 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
         )
     result = _closed_rectangle(a, b)
     if result is None:
-        raise SearchBudgetExceeded(f"MR({a},{b})", 0)
+        raise SearchBudgetExceeded(f"MR({a},{b})", 0, "no construction for odd coprime "
+                                   "sides both >= 7 and prime to 15; nothing was searched")
     return result
 
 
@@ -674,14 +670,14 @@ class IngredientCache:
     entry under a key wins, and no byte (old multi-grid `mrs` entries
     too) is rewritten.  A path that is not a regular file raises
     CacheError unopened.  Every load and store reads the file afresh.
-    Budget failures are remembered per instance (magic_square_holes),
+    Budget overruns are remembered per instance (magic_square_holes),
     never in the file: unlike a grid, a failure cannot be re-verified on
     load.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._dry: Dict[str, int] = {}  # search key -> largest budget it ran dry at
+        self._dry: Dict[str, int] = {}  # search key -> largest budget it overran
 
     def load(self, kind, params, profile=None):
         """The key's grid, or None on a miss.  Entries re-verify on load;

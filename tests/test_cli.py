@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -225,6 +226,28 @@ def test_sizes_past_the_index_range_exit_one(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: too large: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "construct stacked --m 100000000000000000000001 --k 1 --s 3",
+    "construct nmss --m 100000000000000000001 --s 3 --t 1",
+], ids=["stacked", "nmss"])
+def test_squares_with_more_cells_than_budget_exit_one_at_once(argv):
+    # the square search refuses before its set-up; the child runs under an
+    # address-space cap and a timeout, so a set-up that grows without bound
+    # fails this test instead of exhausting the machine's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("HOLEY_CACHE", None)
+    done = subprocess.run([sys.executable, "-m", "holeymagic.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=cap)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: MS(")
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_undecodable_file_exits_one(capsys, tmp_path):

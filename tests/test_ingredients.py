@@ -6,6 +6,7 @@ import pickle
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -155,14 +156,14 @@ def test_budget_must_be_an_int_of_at_least_zero(tmp_path, monkeypatch, budget):
 def test_budget_zero_spends_one_node(tmp_path, monkeypatch):
     calls = _counting_kernel(monkeypatch)
     shared = IngredientCache(tmp_path / "ing.mrx")
-    # a fresh search, the same search on a cache, then its remembered failure
-    for cache, searches in [(None, 1), (shared, 1), (shared, 0)]:
-        del calls[:]
+    # a fresh search, the same search on a cache, then its remembered
+    # failure: 28 cells cannot be placed in 0 nodes, so none walks
+    for cache in (None, shared, shared):
         with pytest.raises(SearchBudgetExceeded) as info:
             magic_square_holes(7, 4, cache=cache, budget=0)
         assert (info.value.ingredient, info.value.nodes) == ("MS(7;4)", 1)
         assert str(info.value) == "MS(7;4): node budget exhausted after 1 nodes"
-        assert len(calls) == searches
+    assert calls == []
 
 
 @pytest.mark.parametrize("budget", [0, 1, 9, 80, 700])
@@ -858,8 +859,9 @@ def test_a_square_search_runs_dry_once_per_cache(tmp_path, monkeypatch):
     assert kernel_calls_until_dry(35_814) > 0
     assert kernel_calls_until_dry(35_814) == 0
     assert kernel_calls_until_dry(1_000) == 0  # a smaller budget cuts the same walk
-    # a profiled square is another search
-    assert kernel_calls_until_dry(10, DiagonalProfile(((1, 0, 6),))) > 0
+    # a profiled square is another search; below 28 nodes (7 x 4 cells)
+    # it would not walk
+    assert kernel_calls_until_dry(28, DiagonalProfile(((1, 0, 6),))) > 0
     assert not path.exists()  # failures are never written
     # memory is per instance: a new one on the same path, or the path, searches
     for other in (IngredientCache(path), str(path)):
@@ -872,6 +874,50 @@ def test_a_square_search_runs_dry_once_per_cache(tmp_path, monkeypatch):
     assert calls
     assert [line for line in path.read_text().splitlines()
             if line.startswith("KEY ")] == ["KEY ms 7 4 -"]
+
+
+@pytest.mark.parametrize("profile", [None, DiagonalProfile(((1, 0, 6),))],
+                         ids=["plain", "profile"])
+def test_a_walk_that_ends_without_a_square_is_inconclusive(tmp_path, monkeypatch, profile):
+    # a walk fixes the order of its blocks, so ending it proves nothing:
+    # the error carries the nodes spent, never reads as a budget overrun
+    # or a nonexistence claim, and a cache does not remember it
+    calls = []
+
+    def ended(cell_domain, lines, domains, left):
+        calls.append(None)
+        return None, left - 5
+    monkeypatch.setattr(ingredients, "_search_assignment", ended)
+    path = tmp_path / "ing.mrx"
+    cache = IngredientCache(path)
+    label = "MS(7;4)" + (" profile 1:0:6" if profile else "")
+    for walks in (1, 2):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            magic_square_holes(7, 4, profile, cache=cache, budget=1_000)
+        assert (info.value.ingredient, info.value.nodes) == (label, 5)
+        assert str(info.value) == f"{label}: the walk ended without a square after 5 nodes"
+        assert "budget" not in str(info.value)
+        assert len(calls) == walks
+    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+    assert not path.exists()
+
+
+def test_a_square_with_more_cells_than_budget_is_never_set_up(tmp_path, monkeypatch):
+    # a walk places at most one cell per node, so 300 003 cells cannot be
+    # placed in 1 000 nodes: the search raises before it builds a cell
+    calls = _counting_kernel(monkeypatch)
+    m = 10 ** 5 + 1
+    tracemalloc.start()
+    try:
+        for cache in (None, IngredientCache(tmp_path / "ing.mrx")):
+            with pytest.raises(SearchBudgetExceeded) as info:
+                magic_square_holes(m, 3, cache=cache, budget=1_000)
+            assert (info.value.ingredient, info.value.nodes) == (f"MS({m};3)", 1_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 1 << 20  # the cell list alone would take tens of MB
 
 
 @pytest.mark.parametrize("fetch", [
@@ -963,7 +1009,7 @@ PINNED_SEARCHES = [
     # ingredient named when the budget runs out)
     (lambda budget: [magic_square_holes(8, 4, DiagonalProfile(((1, 0, 7),)), budget=budget)],
      213_750, SEARCHED_MS_8_4_PROFILE, "MS(8;4) profile 1:0:7"),
-    # layered search: three stages share one budget
+    # one walk, its blocks on the support diagonals in order
     (lambda budget: [_search_square(7, 4, None, budget)], 35_815, SEARCHED_MS_7_4, "MS(7;4)"),
 ]
 
@@ -1061,6 +1107,7 @@ def _outcomes(kernel, search, budgets, monkeypatch):
             text = "".join(serialize(g) for g in search(budget))
         except HoleyMagicError as exc:
             text = f"{type(exc).__name__}: {exc}"
+        assert len(left) <= 1, "one kernel walk per search"
         outcomes.append((text, left[:]))
         del left[:]
     return outcomes
