@@ -7,11 +7,15 @@ identity/reversal pair of rows, a three-row block for odd k, and vertical
 stacking of those blocks.  lift() routes shifted copies of a magic grid
 through one; every construction that multiplies a grid goes through it,
 and gets back the copies' cells, which it joins or wraps as grids.
+lift() zips per-cell iterators over the copies when the copies outnumber
+the base's columns, and otherwise loops over the copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Callable, List, Tuple
 
 from .errors import ParityError
@@ -70,8 +74,10 @@ def kotzig(s: int, k: int) -> KotzigArray:
 
 def lift(base: HoleyGrid, class_of: Callable[[int, int], int],
          K: KotzigArray) -> List[Cells]:
-    """The cells of the K.k copies of a base holding 0..N-1 in its N filled
-    cells: copy t adds N * K[class_of(i, j)][t] to the value in cell (i, j).
+    """The cells of the k copies of a base holding 0..N-1 in its N filled
+    cells, k being the number of columns of K.entries (not K.k): copy t
+    adds N * K[class_of(i, j)][t] to the value in cell (i, j) and keeps
+    the base's holes.
     Each copy is a tuple of row tuples, not yet a HoleyGrid: callers join
     the copies with grid.above or grid.beside, or wrap each one, and only
     the grids they build check the cells.
@@ -83,8 +89,23 @@ def lift(base: HoleyGrid, class_of: Callable[[int, int], int],
     need that for rows: a column of the stack gains N times a row sum of K,
     (k-1)k/2, for each of its base cells, whatever their classes; side by
     side, the same holds with rows and columns swapped.
+
+    When the copies outnumber the base's columns, each base cell gets one
+    iterator over its value in every copy, and zip makes from them a row
+    of every copy, then every copy from its rows, so the work per cell and
+    copy runs inside builtins.  Otherwise a comprehension step per cell
+    and copy costs less than an iterator per cell, so it loops over the
+    copies.
     """
     n = sum(len(row) - row.count(None) for row in base.cells)
+    k = min(map(len, K.entries), default=0)  # as many copies as zip(*K.entries) gives
+    if k > base.cols:
+        shifts = [[n * x for x in row[:k]] for row in K.entries]
+        hole = (None,) * k
+        return list(zip(*[
+            zip(*[hole if v is None else map(add, repeat(v), shifts[class_of(i, j)])
+                  for j, v in enumerate(row)])
+            for i, row in enumerate(base.cells)]))
     classes = [[None if v is None else class_of(i, j) for j, v in enumerate(row)]
                for i, row in enumerate(base.cells)]
     rows = list(zip(base.cells, classes))

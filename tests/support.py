@@ -19,6 +19,9 @@ they were before they worked a row at a time (a token and a cell at a
 time); the row-wise versions must match their grids, errors and reports
 exactly.  reference_verify compares doubled sums with doubled constants,
 so it takes none of verify's arithmetic.
+reference_lift is kotzig.lift as it was before it zipped per-cell
+iterators for many copies: a comprehension over every cell of every copy;
+lift must match its copies cell for cell and by type.
 """
 
 import random
@@ -555,3 +558,18 @@ def reference_parse(text: str) -> HoleyGrid:
                 raise ParseError(f"bad token {tok!r}", lineno)
         cells.append(tuple(row))
     return HoleyGrid(rows, cols, tuple(cells))
+
+
+def reference_lift(base, class_of, K):
+    """The copies of kotzig.lift, one comprehension step per cell per copy."""
+    n = sum(len(row) - row.count(None) for row in base.cells)
+    classes = [[None if v is None else class_of(i, j) for j, v in enumerate(row)]
+               for i, row in enumerate(base.cells)]
+    rows = list(zip(base.cells, classes))
+    copies = []
+    for column in zip(*K.entries):  # K[class][t] for every class, copy t
+        shift = [n * x for x in column]
+        copies.append(tuple([
+            tuple([None if v is None else v + shift[c] for v, c in zip(row, crow)])
+            for row, crow in rows]))
+    return copies
