@@ -5,7 +5,9 @@ needed) into a grid that passes verify for its declared spec.  Ingredients,
 or the grid built from them, are re-validated here even when they come
 from the trusted catalog.
 BUILDS gives each route of existence.ROUTES one build from its params,
-which fetches the ingredients and calls the constructor.
+which fetches the ingredients and calls the constructor.  Every gate is
+existence.require, and the builds run theirs before any ingredient fetch,
+so a refused shape never starts a search.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def stacked(m: int, k: int, s: int, square: HoleyGrid) -> HoleyGrid:
 def nmss(m: int, s: int, t: int, square: HoleyGrid) -> NmssResult:
     """Nonconsecutive magic square set: the t subsquares of the stacked
     construction kept separate, sharing the constant s(mst-1)/2."""
-    _nmss_gate(m, s, t)
+    existence.require(existence.nmss_exists, m, s, t)
     squares = tuple(HoleyGrid(m, m, cells) for cells in _stacked_squares(m, t, s, square))
     constant = s * (m * s * t - 1) // 2
     return NmssResult(squares, constant)
@@ -91,7 +93,7 @@ def five_case(m: int, s: int, square2m: HoleyGrid, strip: HoleyGrid) -> HoleyGri
     row s times and each strip column s/2 times.  It is checked once, so
     any other pair raises BadIngredient.
     """
-    _five_case_gate(m, s)
+    existence.require(existence.five_case_exists, m, s)
     if (square2m.rows, square2m.cols) != (2 * m, 2 * m) or (strip.rows, strip.cols) != (m, 2 * m):
         raise BadIngredient(f"need a {2 * m}x{2 * m} square and a {m}x{2 * m} strip, got "
                             f"{square2m.rows}x{square2m.cols} and {strip.rows}x{strip.cols}")
@@ -123,31 +125,9 @@ def block_set(a: int, b: int, c: int, rects: Sequence[HoleyGrid]) -> HoleyGrid:
     return grid
 
 
-# The builds below run every gate before fetching any ingredient, so a
-# refused shape never starts a search.
-
 def _stacked_gate(m: int, k: int, s: int) -> None:
-    existence.require_positive_ints("m, k and s", m, k, s)
-    if s != 2 and not existence.nmss_exists(m, s, k):
-        raise NotConstructible(
-            f"no MR({m},{k * m};{k * s},{s}): need 2 <= s <= m and s even or km odd"
-        )
-
-
-def _nmss_gate(m: int, s: int, t: int) -> None:
-    existence.require_positive_ints("m, s and t", m, s, t)
-    if not existence.nmss_exists(m, s, t):
-        raise NotConstructible(
-            f"no NMSS({m},{s};{t}): need 3 <= s <= m and s even or mt odd"
-        )
-
-
-def _five_case_gate(m: int, s: int) -> None:
-    existence.require_positive_ints("m and s", m, s)
-    if not existence.five_case_exists(m, s):
-        raise NotConstructible(
-            f"no MR({2 * m},{3 * m};{3 * s},{2 * s}): need s even and s <= m"
-        )
+    if not (s == 2 and existence.is_int(s)):  # two_per_column gates s = 2
+        existence.require(existence.nmss_exists, m, s, k)
 
 
 def _build_stacked(m, k, s, **kw):
@@ -158,7 +138,7 @@ def _build_stacked(m, k, s, **kw):
 
 def _build_nmss(m, s, t, **kw):
     """The construct nmss command's build: an NmssResult, not a grid."""
-    _nmss_gate(m, s, t)
+    existence.require(existence.nmss_exists, m, s, t)
     return nmss(m, s, t, ingredients.magic_square_holes(m, s, **kw))
 
 
@@ -169,17 +149,16 @@ def _build_five_case(m, s, **kw):
     square row has s/2 values below ms, and every square column holds the
     low cells of one strip column, s/2 of them.  That is what five_case
     needs of both, so only the strip's MS(m;s) is ever searched."""
-    _five_case_gate(m, s)
+    existence.require(existence.five_case_exists, m, s)
     strip = _build_stacked(m, 2, s, **kw)
     square2m = above(lift(strip, lambda i, j: j // m, kotzig(2, 2)))
     return five_case(m, s, square2m, strip)
 
 
 def _build_product(m, s, a, b, **kw):
-    # nonpositive parameters fall through to the ingredients' ValueError
-    if min(m, s, a, b) > 0 and not (existence.ms_exists(m, s) and existence.mr_exists(a, b)):
-        raise NotConstructible(f"no MR({a * m},{b * m};{b * s},{a * s}): "
-                               f"needs both MS({m};{s}) and MR({a},{b})")
+    # refuse by ingredient: the product's shape may exist by another route
+    existence.require(existence.ms_exists, m, s)
+    existence.require(existence.mr_exists, a, b)
     return product(ingredients.magic_square_holes(m, s, **kw),
                    ingredients.classical_rectangle(a, b, **kw))
 
@@ -209,6 +188,7 @@ def realize(m: int, n: int, r: int, s: int, *, cache=None,
     """
     decision = existence.decide(m, n, r, s)
     if decision.verdict != "exists":
-        raise NotConstructible(f"decide({m},{n},{r},{s}) is {decision.verdict}")
+        why = f"{decision.verdict}: {decision.reason}" if decision.reason else decision.verdict
+        raise NotConstructible(f"decide({m},{n},{r},{s}) is {why}")
     params = existence.ROUTES[decision.route](m, n, r, s)
     return BUILDS[decision.route](*params, cache=cache, budget=budget)

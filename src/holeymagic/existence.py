@@ -5,8 +5,10 @@ construction route that realize() can actually follow, a "not-exists"
 verdict names a proven obstruction, and anything the implemented theory
 does not settle comes back "unknown" rather than guessed.
 
-Each existence theorem is stated once here, as a predicate; the ingredient
-searches and the constructors gate on the same predicates.
+Each existence theorem is stated once here, as a predicate with its
+condition in words beside it (REFUSALS).  decide, the constructors and the
+ingredient functions share the predicates, and every refusal of parameters
+as nonexistent is raised here, by require, in those words.
 """
 
 from __future__ import annotations
@@ -15,38 +17,69 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .errors import NotConstructible
+
 VERDICTS = ("exists", "not-exists", "unknown")
 
+REFUSALS = {}  # predicate -> (parameter names, object, condition in words)
 
+
+def _refuses(obj, need):
+    """Record the object, a function of the predicate's parameters, and its
+    condition in words, which require() formats only when it refuses."""
+    def record(predicate):
+        *first, last = predicate.__code__.co_varnames[:predicate.__code__.co_argcount]
+        REFUSALS[predicate] = (f"{', '.join(first)} and {last}", obj, need)
+        return predicate
+    return record
+
+
+@_refuses(lambda m, s, t: f"NMSS({m},{s};{t})", "m=s=t=1, or 3 <= s <= m with s even or mt odd")
 def nmss_exists(m: int, s: int, t: int) -> bool:
-    """NMSS(m,s;t), t s-diagonal MS(m;s) jointly holding 0..mst-1 with one
-    common line sum, exists iff m=s=t=1, or 3 <= s <= m with s even or mt
-    odd.  Set side by side, the t squares form the stacked MR(m,tm;ts,s)."""
+    """Whether NMSS(m,s;t), t s-diagonal MS(m;s) on 0..mst-1 with one line sum, exists."""
     return m == s == t == 1 or (3 <= s <= m and (s % 2 == 0 or m * t % 2 == 1))
 
 
+@_refuses(lambda m, s: f"MS({m};{s})", "m=s=1, or 3 <= s <= m with s even or m odd")
 def ms_exists(m: int, s: int) -> bool:
-    """An s-diagonal holey magic square MS(m;s) is an NMSS(m,s;1)."""
+    """Whether the s-diagonal holey magic square MS(m;s) exists."""
     return nmss_exists(m, s, 1)
 
 
+@_refuses(lambda a, b: f"MR({a},{b})", "a=b=1, or a = b (mod 2), a+b > 5 and a,b > 1")
 def mr_exists(a: int, b: int) -> bool:
-    """A full a x b magic rectangle exists iff a=b=1, or a = b (mod 2),
-    a+b > 5 and a,b > 1."""
+    """Whether a full a x b magic rectangle exists."""
     return a == b == 1 or (a % 2 == b % 2 and a + b > 5 and a > 1 and b > 1)
 
 
+@_refuses(lambda a, b, c: f"MRS({a},{b};{c})",
+          "1 < a <= b, and a,b,c all odd or a,b both even and not (2,2)")
 def mrs_exists(a: int, b: int, c: int) -> bool:
-    """MRS(a,b;c), c full a x b rectangles jointly holding 0..abc-1 with
-    common row and column sums, taken short side first (1 < a <= b):
-    exists iff a,b,c are all odd, or a,b are both even and (a,b) != (2,2)."""
+    """Whether MRS(a,b;c), c full a x b rectangles on 0..abc-1 with shared line sums, exists."""
     return 1 < a <= b and (a % 2 == b % 2 == c % 2 == 1
                            or (a % 2 == b % 2 == 0 and (a, b) != (2, 2)))
 
 
+@_refuses(lambda m, s: f"five-case MR({2 * m},{3 * m};{3 * s},{2 * s})",
+          "MR(2m,3m;3s,2s) with s even and s <= m")
 def five_case_exists(m: int, s: int) -> bool:
-    """The five-case construction builds MR(2m,3m;3s,2s) for even s <= m."""
+    """Whether the five-case construction builds MR(2m,3m;3s,2s)."""
     return s % 2 == 0 and s <= m
+
+
+@_refuses(lambda m, k: f"MR({m},{k * m};{2 * k},2)", "m >= 2 and k >= 2")
+def two_per_column_exists(m: int, k: int) -> bool:
+    """Whether two_per_column builds MR(m,km;2k,2), two diagonals a square."""
+    return m >= 2 and k >= 2
+
+
+def require(predicate, *params) -> None:
+    """ValueError unless every parameter is a positive int, then
+    NotConstructible unless predicate(*params), worded from REFUSALS."""
+    names, obj, need = REFUSALS[predicate]
+    require_positive_ints(names, *params)
+    if not predicate(*params):
+        raise NotConstructible(f"no {obj(*params)}: need {need}")
 
 
 # Route parameters: each takes a well-formed shape that violates no

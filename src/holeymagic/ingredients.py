@@ -1,7 +1,7 @@
 """Ingredient grids for the constructions: holey magic squares MS(m;s),
 classical full magic rectangles and magic rectangle sets MRS(a,b;c).
 
-Resolution order is always the existence gate, then the catalog or a
+Resolution order is always existence.require, then the catalog or a
 closed form, returned without touching the cache, then the cache, then
 deterministic backtracking search; only a searched square is stored when
 a cache is given.  Closed forms: even MR(a,b) lift MR(2,b) through a
@@ -17,11 +17,11 @@ profiled squares the closed form misses are searched in one walk, and
 the cache holds only those (`mr` entries of older versions still load).
 A diagonal profile is one run of the lowest values.  magic_square_holes
 checks its budget, an int >= 0, once.  A search that overruns it, or
-whose walk ends without a square, raises SearchBudgetExceeded: only the
-gates and an unfit profile raise NotConstructible.  An IngredientCache
-appends under flock, so processes may share one; it remembers overruns
-in memory, never in its file, and answers a repeat at the same or a
-smaller budget at once.
+whose walk ends without a square, raises SearchBudgetExceeded: only
+existence.require and an unfit profile refuse with NotConstructible.  An
+IngredientCache appends under flock, so processes may share one; it
+remembers overruns in memory, never in its file, and answers a repeat at
+the same or a smaller budget at once.
 """
 
 from __future__ import annotations
@@ -169,11 +169,7 @@ def _mrs_gate(a: int, b: int, c: int) -> None:
     existence.require_positive_ints("a, b and c", a, b, c)
     if a > b:
         raise ValueError(f"MRS({a},{b};{c}): give the short side first, a <= b")
-    if not existence.mrs_exists(a, b, c):
-        raise NotConstructible(
-            f"no MRS({a},{b};{c}): need 1 < a <= b, and a,b,c all odd "
-            "or a,b both even and not (2,2)"
-        )
+    existence.require(existence.mrs_exists, a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +182,7 @@ def two_per_column(m: int, k: int) -> HoleyGrid:
     The k even and k odd cases fill the subsquare diagonals with different
     value ranges; row indices wrap modulo m.
     """
-    existence.require_positive_ints("m and k", m, k)
-    if k == 1:
-        raise NotConstructible(f"MR({m},{m};2,2) does not exist for any m")
-    if m == 1:
-        raise NotConstructible("need m >= 2 to fit two filled cells per column")
+    existence.require(existence.two_per_column_exists, m, k)
 
     n = k * m
     cells: List[List] = [[None] * n for _ in range(m)]
@@ -474,10 +466,7 @@ def magic_square_holes(m: int, s: int, profile: Optional[DiagonalProfile] = None
     existence.require_positive_ints("m and s", m, s)
     if not (existence.is_int(budget) and budget >= 0):
         raise ValueError("budget must be an integer >= 0")
-    if not existence.ms_exists(m, s):
-        raise NotConstructible(
-            f"no MS({m};{s}): need m=s=1 or 3 <= s <= m with s even or m odd"
-        )
+    existence.require(existence.ms_exists, m, s)
     text = _CATALOG_MS.get((m, s))
     if text is not None:
         grid = parse(text)
@@ -565,11 +554,7 @@ def classical_rectangle(a: int, b: int, *, cache=None, budget: int = DEFAULT_BUD
     both at least 7 and prime to 15, which have no closed form here;
     nothing is searched, so `cache` and `budget` are unused.
     """
-    existence.require_positive_ints("a and b", a, b)
-    if not existence.mr_exists(a, b):
-        raise NotConstructible(
-            f"no MR({a},{b}): need a = b (mod 2), a+b > 5 and a,b > 1"
-        )
+    existence.require(existence.mr_exists, a, b)
     result = _closed_rectangle(a, b)
     if result is None:
         raise SearchBudgetExceeded(f"MR({a},{b})", 0, "no construction for odd coprime "

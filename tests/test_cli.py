@@ -120,6 +120,15 @@ def test_nmss_gate_runs_before_any_search(capsys, monkeypatch):
     assert "NMSS(31,3;2)" in err
 
 
+def test_product_refusal_names_the_missing_ingredient(capsys):
+    # MR(6,6;6,6) exists (Classical); only the MR(2,2) ingredient does not
+    code, out, err = run(capsys, "construct", "product", "--m", "3", "--s", "3",
+                         "--a", "2", "--b", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no MR(2,2): need ")
+    assert "MR(6,6;6,6)" not in err
+
+
 def test_construct_matches_realize(capsys):
     # one shape per decide route that has a construct subcommand
     for argv, shape in [

@@ -17,6 +17,7 @@ from holeymagic import (
     two_per_column,
     verify,
 )
+from holeymagic import construct
 from holeymagic.construct import BUILDS
 from holeymagic.grid import above
 from holeymagic.kotzig import kotzig, lift
@@ -96,6 +97,28 @@ def test_builds_gate_before_any_search():
         BUILDS["Stacked"](31, 2, 3, budget=1)
     with pytest.raises(NotConstructible):
         BUILDS["Product"](31, 3, 3, 4, budget=1)
+    # NMSS(31,3;2), five-case MR(62,93;9,6) and MRS(3,3;2) do not exist
+    with pytest.raises(NotConstructible):
+        construct._build_nmss(31, 3, 2, budget=1)
+    with pytest.raises(NotConstructible):
+        BUILDS["FiveCase"](31, 3, budget=1)
+    with pytest.raises(NotConstructible):
+        BUILDS["BlockSet"](3, 3, 2, budget=1)
+
+
+@pytest.mark.parametrize("params, missing, product_shape", [
+    ((3, 3, 2, 2), "MR(2,2)", "MR(6,6;6,6)"),
+    ((4, 4, 1, 3), "MR(1,3)", "MR(4,12;12,4)"),
+])
+def test_product_refusal_names_the_missing_ingredient(params, missing, product_shape):
+    # the product's shape exists by another route, so the refusal must
+    # not deny it
+    m, s, a, b = params
+    assert decide(a * m, b * m, b * s, a * s).verdict == "exists"
+    with pytest.raises(NotConstructible) as refused:
+        BUILDS["Product"](*params)
+    assert missing in str(refused.value)
+    assert product_shape not in str(refused.value)
 
 
 def test_stacked_rejects_bad_square():
@@ -238,3 +261,12 @@ def test_realize_refuses_nonexistent_and_unknown():
         realize(3, 3, 2, 2)
     with pytest.raises(NotConstructible):
         realize(9, 15, 10, 6)
+
+
+def test_realize_names_the_verdict_and_reason():
+    with pytest.raises(NotConstructible,
+                       match=r"^decide\(4,4,3,3\) is not-exists: RowSumNonIntegral$"):
+        realize(4, 4, 3, 3)
+    assert decide(6, 3, 2, 4).verdict == "unknown"
+    with pytest.raises(NotConstructible, match=r"^decide\(6,3,2,4\) is unknown$"):
+        realize(6, 3, 2, 4)

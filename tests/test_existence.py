@@ -1,10 +1,19 @@
 import enum
 import hashlib
+import itertools
+import re
 
 import pytest
 
-from holeymagic import Decision, decide, necessary_conditions, realize, two_per_column
-from holeymagic.existence import REASONS
+from holeymagic import (
+    Decision,
+    NotConstructible,
+    decide,
+    necessary_conditions,
+    realize,
+    two_per_column,
+)
+from holeymagic.existence import REASONS, REFUSALS, require
 from holeymagic.oracle import exists_brute
 
 import support
@@ -182,3 +191,41 @@ def test_non_int_sides_raise_value_error(bad, side):
     for call in (decide, necessary_conditions, realize):
         with pytest.raises(ValueError, match="positive integers"):
             call(*shape)
+
+
+@pytest.mark.parametrize("predicate", list(REFUSALS), ids=lambda p: p.__name__)
+def test_require_refuses_exactly_where_the_predicate_fails(predicate):
+    _, obj, _ = REFUSALS[predicate]
+    arity = predicate.__code__.co_argcount
+    for params in itertools.product(range(1, 8), repeat=arity):
+        if predicate(*params):
+            assert require(predicate, *params) is None
+            continue
+        with pytest.raises(NotConstructible) as refused:
+            require(predicate, *params)
+        message = str(refused.value)
+        assert message.startswith("no ")
+        assert obj(*params) in message
+        # a refused MS or MR shape is one that decide does not build
+        shape = re.search(r"\b(MS|MR)\(([\d,;]+)\)", message)
+        if shape:
+            sizes = [int(v) for v in re.split("[,;]", shape[2])]
+            if shape[1] == "MS":
+                (m, s) = sizes
+                sizes = [m, m, s, s]
+            elif len(sizes) == 2:
+                sizes += sizes[::-1]
+            assert decide(*sizes).verdict != "exists", message
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize("predicate", list(REFUSALS), ids=lambda p: p.__name__)
+def test_require_checks_sizes_before_existence(predicate, bad):
+    # every other size 1 fails most predicates, so a ValueError here was
+    # raised before the existence test
+    arity = predicate.__code__.co_argcount
+    for at in range(arity):
+        params = [1] * arity
+        params[at] = bad
+        with pytest.raises(ValueError, match="must be positive integers"):
+            require(predicate, *params)
